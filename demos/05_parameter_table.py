@@ -7,5 +7,5 @@ import ectf
 
 result = ectf.run_table(max_size=1100)
 print(ectf.table_to_text(result))
-print("canonical JSON (byte-stable across runs and thread counts):")
+print("canonical JSON (byte-stable across runs):")
 print(ectf.table_to_json(result))

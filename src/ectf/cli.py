@@ -157,7 +157,7 @@ def cmd_construct(args) -> int:
 
 def cmd_check(args) -> int:
     g = _load_graph(args.input)
-    report = certify(g, k_max=args.k, threads=args.threads)
+    report = certify(g, k_max=args.k)
     _emit(report.to_json() if args.format == "json" else report.to_text(), args.out)
     if args.k >= 3:
         holds = "is_3ectf" in report and bool(report.verdict("is_3ectf"))
@@ -170,9 +170,7 @@ def cmd_check(args) -> int:
 def cmd_mu(args) -> int:
     g = _load_graph(args.input)
     mode = "sampled" if args.mode == "sample" else "exact"
-    res = multiplicity(
-        g, args.k, mode=mode, trials=args.trials, seed=args.seed, threads=args.threads
-    )
+    res = multiplicity(g, args.k, mode=mode, trials=args.trials, seed=args.seed)
     payload = {
         "k": res.k,
         "value": res.value,
@@ -198,7 +196,7 @@ def cmd_mu(args) -> int:
 
 
 def cmd_table(args) -> int:
-    result = run_table(max_size=args.max_size, threads=args.threads)
+    result = run_table(max_size=args.max_size)
     _emit(
         table_to_json(result) if args.format == "json" else table_to_text(result),
         args.out,
@@ -274,7 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="certify a graph6 file")
     p.add_argument("input", help="graph6 file (first graph is used)")
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_check)
@@ -285,14 +282,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "sample"), default="exact")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_mu)
 
     p = sub.add_parser("table", help="family parameter table regression")
     p.add_argument("--max-size", type=int, default=1100)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_table)

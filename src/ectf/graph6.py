@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from typing import Iterable
 
-from .graphs import CapacityError, Graph
+from .graphs import MAX_VERTICES, CapacityError, Graph
 
 HEADER = b">>graph6<<"
 
@@ -61,19 +61,31 @@ def decode_graph6(data: bytes | str) -> Graph:
     data = data.rstrip(b"\r\n")
     if not data:
         raise Graph6ParseError("empty graph6 string", base)
-    for i, ch in enumerate(data):
-        if not (63 <= ch <= 126):
-            raise Graph6ParseError(f"byte {ch} outside graph6 range 63..126", base + i)
-    if data[0] == 126:
+
+    def check_bytes(lo: int, hi: int) -> None:
+        for i in range(lo, min(hi, len(data))):
+            if not (63 <= data[i] <= 126):
+                raise Graph6ParseError(
+                    f"byte {data[i]} outside graph6 range 63..126", base + i
+                )
+
+    pos = 4 if data[0] == 126 else 1
+    check_bytes(0, pos)
+    if pos == 4:
         if len(data) >= 2 and data[1] == 126:
             raise Graph6ParseError("graph6 sizes above 258047 not supported", base + 1)
         if len(data) < 4:
             raise Graph6ParseError("truncated size header", base + len(data))
         n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        pos = 4
     else:
         n = data[0] - 63
-        pos = 1
+    # reject from the header alone, before any work on the n^2/2-bit body
+    if n > MAX_VERTICES:
+        raise CapacityError(
+            f"graph6 header declares {n} vertices, beyond the representation "
+            f"limit of {MAX_VERTICES} (= 2^15) vertices"
+        )
+    check_bytes(pos, len(data))
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) - pos < nbytes:

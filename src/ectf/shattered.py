@@ -15,7 +15,6 @@ of scheduling.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
@@ -312,11 +311,9 @@ def trial_seeds(seed: int, trials: int) -> list[int]:
     return [int(s) for s in _rng(seed).integers(0, 1 << 63, size=trials)]
 
 
-def shattered_fraction(
-    m: int, n: int, trials: int, seed: int, threads: int = 1
-) -> float:
+def shattered_fraction(m: int, n: int, trials: int, seed: int) -> float:
     """Monte-Carlo estimate of the probability that a uniform m x n matrix
-    is shattered.  Deterministic given the seed, at any thread count.
+    is shattered.  Deterministic given the seed.
 
     Trial i draws the same entries as random_matrix(m, n, trial_seeds(seed,
     trials)[i]); a matrix with fewer than 3 rows or columns cannot exhibit
@@ -334,12 +331,7 @@ def shattered_fraction(
         arr = _rng(s).integers(0, 2, size=(m, n), dtype=np.uint8)
         return _shattered_verdict_array(arr)
 
-    if threads <= 1:
-        hits = sum(one(s) for s in seeds)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(one, seeds))
-    return hits / trials
+    return sum(one(s) for s in seeds) / trials
 
 
 # -- file formats ----------------------------------------------------------

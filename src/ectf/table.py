@@ -123,7 +123,7 @@ def table_rows() -> list[TableRow]:
     ]
 
 
-def run_table(max_size: int = 1100, threads: int = 1) -> dict:
+def run_table(max_size: int = 1100) -> dict:
     """Measure every row fitting the size budget and compare each cell."""
     rows_out = []
     all_pass = True
@@ -135,7 +135,7 @@ def run_table(max_size: int = 1100, threads: int = 1) -> dict:
             continue
         g = row.build()
         measured_degrees = dict(sorted(Counter(g.degrees()).items()))
-        mu2 = multiplicity(g, 2, threads=threads)
+        mu2 = multiplicity(g, 2)
         cells = {
             "vertices": {
                 "expected": row.expected_order,

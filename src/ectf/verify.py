@@ -9,96 +9,318 @@ majority-vote center construction.
 All checkers operate on the explicit Graph only.  Enumeration of candidate
 sets proceeds lexicographically (sizes ascending, then tuples, then subset
 membership masks), and reported witnesses are always the first violation
-in that order, so results are reproducible at any thread count: parallel
-runs partition the outer loop into contiguous chunks and reduce in order.
+in that order.  Sets of at most three vertices are scanned by one count
+kernel (common-neighbour counts as float32 matrix products, taken in row
+blocks); each block is reduced in that same order, so the witness does not
+depend on the block size.  Larger sets are enumerated recursively.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from typing import Callable, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .families import circular
-from .graphs import Graph, ParameterError, bit_indices, iter_bits
+from .graphs import Graph, ParameterError, iter_bits
 from .isomorphism import are_isomorphic
 
-# graphs larger than this use the numpy-vectorized size-3 inner loops
-_VECTOR_MIN_ORDER = 81
+# float32 elements in one working block of the count kernel (4 MiB)
+_BLOCK = 1 << 20
+# largest order whose dense adjacency and pair counts are held whole
+_DENSE_MAX = 1 << 13
+# rows b of one triple-scan block: every block also computes its entries
+# with c <= b, which small blocks keep few
+_TRIPLE_ROWS = 128
 
 
 # ---------------------------------------------------------------------------
-# parallel partition helpers (ordered reduction keeps witnesses deterministic)
+# count kernel for the scans over sets of at most three vertices
 # ---------------------------------------------------------------------------
 
 
-def _pair_count(n: int) -> int:
-    return n * (n - 1) // 2
+class _Block(NamedTuple):
+    """One block of a pair or triple scan.
 
-
-def _pair_from_rank(r: int, n: int) -> tuple[int, int]:
-    """Inverse of the lexicographic rank of pairs (a, b), a < b."""
-    a = 0
-    remaining = r
-    width = n - 1
-    while remaining >= width:
-        remaining -= width
-        a += 1
-        width -= 1
-    return a, a + 1 + remaining
-
-
-def _run_chunks(
-    total: int, threads: int, worker: Callable[[int, int], Optional[tuple]]
-) -> Optional[tuple]:
-    """Run worker(lo, hi) over contiguous chunks; return the first finding.
-
-    worker returns the first finding inside its range or None, so reducing
-    in chunk order yields the globally first finding.
+    Entry (i, j) stands for the vertices u = lo + i and v = lo + j (after a,
+    in a triple scan); only entries with j > i, marked by `upper`, are sets.
+    `adj` is the 0/1 adjacency of u and v and `common` the number of common
+    neighbours of the set.  In a triple scan `au` and `av` are the 0/1
+    adjacency of a to u (a column) and to v (a row).
     """
-    if total <= 0:
+
+    lo: int
+    adj: np.ndarray
+    common: np.ndarray
+    upper: np.ndarray
+    a: int = -1
+    au: np.ndarray = np.zeros((1, 1), dtype=np.float32)
+    av: np.ndarray = np.zeros((1, 1), dtype=np.float32)
+
+    @property
+    def hi(self) -> int:
+        return self.lo + self.adj.shape[0]
+
+    def independent(self) -> np.ndarray:
+        return self.upper & (self.adj == 0) & (self.au == 0) & (self.av == 0)
+
+    def members(self, i: int, j: int) -> tuple[int, ...]:
+        pair = (self.lo + i, self.lo + j)
+        return pair if self.a < 0 else (self.a,) + pair
+
+
+class _Counts:
+    """Common-neighbour counts of a graph for the size-1..3 scans.
+
+    M is the 0/1 adjacency matrix in float32.  It is symmetric, so the
+    number of vertices of a set S adjacent to both u and v is (Y^T Y)[u, v]
+    with Y = M[S]: S is every vertex for the pair counts |N(u) & N(v)|, and
+    S = N(a) for the triple counts |N(a) & N(b) & N(c)|.  Sums of 0/1
+    products are exact in float32 below 2^24 vertices.  Products are taken
+    in blocks of at most _BLOCK elements.  M and the whole pair matrix are
+    held only up to _DENSE_MAX vertices; above that, rows are unpacked from
+    the bitset adjacency when a block needs them.
+    """
+
+    def __init__(self, g: Graph):
+        self.n = g.order
+        self.graph = g
+        self.deg = np.array(g.degrees(), dtype=np.float32)
+        self._dense: Optional[np.ndarray] = None
+        self._pairs: Optional[np.ndarray] = None
+        self._paired = 0  # rows of _pairs filled so far
+
+    def take(self, index, start: int = 0) -> np.ndarray:
+        """Rows `index` (a slice or an index array) of M, columns start.."""
+        if self._dense is None and self.n <= _DENSE_MAX:
+            self._dense = self._unpack(slice(None), 0)
+        if self._dense is not None:
+            return self._dense[index, start:]
+        return self._unpack(index, start)
+
+    def _unpack(self, index, start: int) -> np.ndarray:
+        word = start >> 6
+        words = np.ascontiguousarray(self.graph.packed()[index, word:])
+        bits = np.unpackbits(
+            words.view(np.uint8), axis=1, count=self.n - 64 * word, bitorder="little"
+        )
+        return bits[:, start - 64 * word :].astype(np.float32)
+
+    def common(self, among: Optional[np.ndarray], lo: int, hi: int, start: int) -> np.ndarray:
+        """For u in lo..hi-1 and v >= start (start <= lo): the number of
+        vertices in `among` (an index array; None for all) adjacent to both."""
+        size = self.n if among is None else len(among)
+        step = max(1, _BLOCK // (self.n - start))
+        out = np.zeros((hi - lo, self.n - start), dtype=np.float32)
+        for s in range(0, size, step):
+            part = slice(s, s + step) if among is None else among[s : s + step]
+            y = self.take(part, start)
+            out += y[:, lo - start : hi - start].T @ y
+        return out
+
+    def pairs(self, lo: int, hi: int, start: int) -> np.ndarray:
+        """|N(u) & N(v)| for u in lo..hi-1 and v >= start.  Up to
+        _DENSE_MAX vertices rows are kept once computed: the triple scans
+        revisit them for every a."""
+        if self.n > _DENSE_MAX:
+            return self.common(None, lo, hi, start)
+        if self._pairs is None:
+            self._pairs = np.empty((self.n, self.n), dtype=np.float32)
+        step = max(1, _BLOCK // self.n)
+        while self._paired < hi:
+            top = min(self.n, self._paired + step)
+            self._pairs[self._paired : top] = self.common(None, self._paired, top, 0)
+            self._paired = top
+        return self._pairs[lo:hi, start:]
+
+    def pair_blocks(self) -> Iterator[_Block]:
+        """The pairs (u, v), u < v, in lexicographic order, by row blocks."""
+        n = self.n
+        step = max(1, _BLOCK // max(n, 1))
+        for lo in range(0, n, step):
+            hi = min(n, lo + step)
+            yield _Block(
+                lo, self.take(slice(lo, hi), lo), self.common(None, lo, hi, lo), _upper(hi - lo, n - lo)
+            )
+
+    def triple_blocks(self) -> Iterator[_Block]:
+        """The triples (a, b, c), a < b < c, in lexicographic order: a in
+        turn, b by row blocks; `common` counts N(a) & N(b) & N(c)."""
+        n = self.n
+        for a in range(n - 2):
+            arow = self.take(slice(a, a + 1))[0]
+            nbrs = np.flatnonzero(arow)
+            step = max(1, min(_TRIPLE_ROWS, _BLOCK // (n - a - 1)))
+            for lo in range(a + 1, n - 1, step):
+                hi = min(n - 1, lo + step)
+                yield _Block(
+                    lo,
+                    self.take(slice(lo, hi), lo),
+                    self.common(nbrs, lo, hi, lo),
+                    _upper(hi - lo, n - lo),
+                    a,
+                    arow[lo:hi, None],
+                    arow[None, lo:],
+                )
+
+
+def _upper(rows: int, cols: int) -> np.ndarray:
+    return np.arange(cols) > np.arange(rows)[:, None]
+
+
+def _first(bad: np.ndarray) -> Optional[tuple[int, ...]]:
+    """Index of the first true entry of bad in C (lexicographic) order."""
+    if not bad.any():
         return None
-    if threads <= 1:
-        return worker(0, total)
-    threads = min(threads, total)
-    bounds = [total * i // threads for i in range(threads + 1)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(worker, bounds[i], bounds[i + 1]) for i in range(threads)
-        ]
-        for fut in futures:
-            res = fut.result()
-            if res is not None:
-                return res
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
+
+
+def _first_zero(counts: list, valid: list) -> Optional[tuple[int, ...]]:
+    """First (index..., mask) in C order with valid[mask] and counts[mask] == 0."""
+    bad = [(c == 0) & v for c, v in zip(counts, valid)]
+    if not any(b.any() for b in bad):
+        return None
+    return _first(np.stack(bad, axis=-1))
+
+
+def _first_uncovered(g: Graph, k: int) -> Optional[tuple[int, ...]]:
+    """First independent set of 1..k <= 3 vertices without a common neighbor."""
+    cnt = _Counts(g)
+    hit = _first(cnt.deg == 0)
+    if hit is not None:
+        return hit
+    for scan in (cnt.pair_blocks, cnt.triple_blocks)[: k - 1]:
+        for blk in scan():
+            hit = _first(blk.independent() & (blk.common == 0))
+            if hit is not None:
+                return blk.members(*hit)
     return None
 
 
-def _min_over_chunks(
-    total: int, threads: int, worker: Callable[[int, int], Optional[tuple]]
-) -> Optional[tuple]:
-    """Min-reduce worker results (value, orderkey, payload) over chunks."""
-    if total <= 0:
+def _first_unrealized(cnt: _Counts, size: int, independent: bool) -> Optional[tuple]:
+    """First (A, B), |A| = size <= 3 and B an independent subset of A, such
+    that no vertex outside A is adjacent to exactly the members B of A; A
+    ranges over all (or, with `independent`, the independent) size-sets.
+    B is indexed by its membership mask within A (bit i for the i-th
+    member), so (A, mask) pairs are reduced in lexicographic order."""
+    n, deg = cnt.n, cnt.deg
+    if size == 1:
+        hit = _first_zero([n - 1 - deg, deg], [True, True])
+        if hit is None:
+            return None
+        v, mask = hit
+        return (v,), ((v,) if mask else ())
+    scan = cnt.pair_blocks if size == 2 else cnt.triple_blocks
+    for blk in scan():
+        if size == 2:
+            counts = _pair_realizers(cnt, blk)
+            valid = [blk.upper] * 3 + [blk.upper & (blk.adj == 0)]
+        else:
+            counts = _triple_realizers(cnt, blk)
+            if counts is None:
+                continue
+            valid = [blk.upper] * 8
+            for mask, indep in ((3, blk.au == 0), (5, blk.av == 0), (6, blk.adj == 0)):
+                valid[mask] = blk.upper & indep
+            valid[7] = blk.independent()
+        if independent:
+            valid = [blk.independent()] * len(counts)
+        hit = _first_zero(counts, valid)
+        if hit is not None:
+            a_set = blk.members(hit[0], hit[1])
+            return a_set, tuple(v for i, v in enumerate(a_set) if hit[2] >> i & 1)
+    return None
+
+
+def _pair_realizers(cnt: _Counts, blk: _Block) -> list:
+    """Per mask of B within A = (u, v): the vertices outside A adjacent to
+    exactly B, by inclusion-exclusion over |N(u)|, |N(v)|, |N(u) & N(v)|."""
+    n, lo, hi = cnt.n, blk.lo, blk.hi
+    d_u, d_v, c, uv = cnt.deg[lo:hi, None], cnt.deg[None, lo:], blk.common, blk.adj
+    return [n - d_u - d_v + c - 2 * (1 - uv), d_u - c - uv, d_v - c - uv, c]
+
+
+# most members of A = (a, u, v) with exactly B as their neighbours in A, by
+# the membership mask of B, where counting them takes more than one product
+_MEMBERS_AT_MOST = {0: 3, 1: 2, 2: 2, 4: 2}
+# added to a count whose B is not independent, to keep it off the minimum
+_BIG = np.float32(1 << 20)
+
+
+def _triple_realizers(cnt: _Counts, blk: _Block) -> Optional[list]:
+    """Per mask of B within A = (a, u, v), bit 0 for a: the vertices outside
+    A adjacent to exactly B.  None when no count can be zero.
+
+    Inclusion-exclusion over |N(S)| for S within A counts every vertex
+    whose neighbours in A are exactly B; the members of A with that pattern
+    are then taken off.  For four masks only a bound on those members is
+    used first: a block where every count of an independent B exceeds its
+    bound has no failure, and only the other blocks pay for the rest."""
+    n, lo, hi, a = cnt.n, blk.lo, blk.hi, blk.a
+    d_a, d_u, d_v = cnt.deg[a], cnt.deg[lo:hi, None], cnt.deg[None, lo:]
+    ca = cnt.pairs(a, a + 1, 0)[0]
+    ca_u, ca_v = ca[lo:hi, None], ca[None, lo:]
+    au, av, uv, t = blk.au, blk.av, blk.adj, blk.common
+    only_uv = cnt.pairs(lo, hi, lo) - t  # adjacent to u and v, not to a
+    every = [
+        (n - d_a - d_u + ca_u) - (d_v - ca_v) + only_uv,
+        (d_a - ca_u) - ca_v + t,
+        (d_u - ca_u) - only_uv,
+        ca_u - t,
+        (d_v - ca_v) - only_uv,
+        ca_v - t,
+        only_uv,
+        t,
+    ]
+    members = {3: av * uv, 5: au * uv, 6: au * av, 7: 0}
+    dependent = _BIG * uv
+    penalty = {3: _BIG * au, 5: _BIG * av, 6: dependent, 7: dependent + _BIG * (au + av)}
+    low = None
+    for mask, count in enumerate(every):
+        slack = count - members.get(mask, _MEMBERS_AT_MOST.get(mask)) + penalty.get(mask, 0)
+        low = slack if low is None else np.minimum(low, slack, out=low)
+    if not (blk.upper & (low <= 0)).any():
         return None
-    if threads <= 1:
-        return worker(0, total)
-    threads = min(threads, total)
-    bounds = [total * i // threads for i in range(threads + 1)]
-    best = None
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(worker, bounds[i], bounds[i + 1]) for i in range(threads)
-        ]
-        for fut in futures:
-            res = fut.result()
-            if res is not None and (best is None or res[:2] < best[:2]):
-                best = res
-    return best
+    nau, nav, nuv = 1 - au, 1 - av, 1 - uv
+    members.update({
+        0: nau * nav + nau * nuv + nav * nuv,
+        1: nuv * (au + av),
+        2: nav * (au + uv),
+        4: nau * (av + uv),
+    })
+    return [count - members[mask] for mask, count in enumerate(every)]
+
+
+def _first_unextendable(cnt: _Counts, k: int) -> Optional[tuple[int, ...]]:
+    """First independent set of fewer than k <= 3 vertices (sizes ascending)
+    that lies in no independent k-set."""
+    n = cnt.n
+    pair = None
+    if k == 2:
+        extends = cnt.deg < n - 1
+    else:
+        extends = np.zeros(n, dtype=bool)
+        for blk in cnt.pair_blocks():
+            lo, hi = blk.lo, blk.hi
+            indep = blk.independent()
+            # vertices outside the pair adjacent to neither end
+            free = n - cnt.deg[lo:hi, None] - cnt.deg[None, lo:] + blk.common - 2
+            ok = indep & (free > 0)
+            extends[lo:hi] |= ok.any(axis=1)
+            extends[lo:] |= ok.any(axis=0)
+            if pair is None:
+                hit = _first(indep & (free == 0))
+                pair = None if hit is None else blk.members(*hit)
+    if not extends.any():
+        return ()
+    if not extends.all():
+        return (int(np.argmin(extends)),)
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -151,95 +373,14 @@ def has_anti_triangle(g: Graph) -> tuple[bool, Optional[tuple[int, int, int]]]:
     return False, None
 
 
-def _first_empty_single(g: Graph) -> Optional[tuple[int]]:
-    for v in range(g.order):
-        if not g.rows[v]:
-            return (v,)
-    return None
-
-
-def _first_uncovered_pair(
-    g: Graph, threads: int
-) -> Optional[tuple[int, int]]:
-    rows = g.rows
-    n = g.order
-
-    def worker(lo: int, hi: int) -> Optional[tuple[int, int]]:
-        r = lo
-        a, b = _pair_from_rank(lo, n) if lo < hi else (0, 0)
-        while r < hi:
-            if not (rows[a] >> b) & 1 and not rows[a] & rows[b]:
-                return (a, b)
-            r += 1
-            b += 1
-            if b == n:
-                a += 1
-                b = a + 1
-        return None
-
-    return _run_chunks(_pair_count(n), threads, worker)
-
-
-def _first_uncovered_triple(
-    g: Graph, threads: int
-) -> Optional[tuple[int, int, int]]:
-    """First independent triple (lex) with no common neighbor.
-
-    Per independent pair (a, b), a vertex c has a common neighbor with both
-    iff c is adjacent to some common neighbor of the pair, so the failing
-    extensions are exactly the independent c outside the union of the
-    neighborhoods of common neighbors.
-    """
-    rows = g.rows
-    n = g.order
-    full = g.full_mask
-
-    def worker(lo: int, hi: int) -> Optional[tuple[int, int, int]]:
-        r = lo
-        if lo >= hi:
-            return None
-        a, b = _pair_from_rank(lo, n)
-        while r < hi:
-            if not (rows[a] >> b) & 1:
-                both = rows[a] & rows[b]
-                cand = ~(rows[a] | rows[b]) & full & ~((1 << (b + 1)) - 1)
-                if cand:
-                    cover = 0
-                    for p in iter_bits(both):
-                        cover |= rows[p]
-                        if cand & ~cover == 0:
-                            break
-                    bad = cand & ~cover
-                    if bad:
-                        return (a, b, (bad & -bad).bit_length() - 1)
-            r += 1
-            b += 1
-            if b == n:
-                a += 1
-                b = a + 1
-        return None
-
-    return _run_chunks(_pair_count(n), threads, worker)
-
-
-def satisfies_adj_k(
-    g: Graph, k: int, threads: int = 1
-) -> tuple[bool, Optional[tuple]]:
+def satisfies_adj_k(g: Graph, k: int) -> tuple[bool, Optional[tuple]]:
     """Every independent set of cardinality 1..k has a common neighbor;
     on failure returns the first uncovered independent set."""
     if k < 1:
         raise ParameterError(f"adjacency property needs k >= 1, got {k}")
-    w = _first_empty_single(g)
+    w = _first_uncovered(g, min(k, 3))
     if w is not None:
         return False, w
-    if k >= 2:
-        w = _first_uncovered_pair(g, threads)
-        if w is not None:
-            return False, w
-    if k >= 3:
-        w = _first_uncovered_triple(g, threads)
-        if w is not None:
-            return False, w
     for size in range(4, k + 1):
         found = _first_uncovered_set(g, size)
         if found is not None:
@@ -297,128 +438,7 @@ def _extension_candidates(
     return cand
 
 
-def _e3_vectorized_pairs(
-    g: Graph, threads: int, independent_only: bool
-) -> Optional[tuple[tuple, tuple]]:
-    """Size-3 search for a failing (A, B): A = (a, b, c) scanned in
-    lexicographic order, B by membership mask within A, vectorized over c.
-
-    With independent_only, A ranges over independent triples (the variant
-    needed by the exactly-k formulation); otherwise over all triples.
-    """
-    n = g.order
-    rows = g.rows
-    packed = g.packed()
-    words = packed.shape[1]
-    notadj = ~packed
-    if n % 64:
-        notadj[:, -1] &= np.uint64((1 << (n % 64)) - 1)
-    for v in range(n):
-        notadj[v, v >> 6] &= np.uint64(~(1 << (v & 63)) & 0xFFFFFFFFFFFFFFFF)
-    adj_bool = np.unpackbits(
-        packed.view(np.uint8), axis=1, bitorder="little", count=n
-    ).astype(bool)
-    maxdeg = max(g.degrees()) if n else 0
-
-    def to_words(x: int) -> np.ndarray:
-        return np.frombuffer(x.to_bytes(words * 8, "little"), dtype="<u8")
-
-    def first_true(mask: np.ndarray) -> Optional[int]:
-        idx = int(np.argmax(mask))
-        return idx if mask[idx] else None
-
-    def check_pair(a: int, b: int) -> Optional[tuple]:
-        if b + 1 >= n:
-            return None
-        ab_adjacent = (rows[a] >> b) & 1
-        if independent_only and ab_adjacent:
-            return None
-        adj_hi = packed[b + 1 :]
-        not_hi = notadj[b + 1 :]
-        ncs = n - b - 1
-        if independent_only:
-            valid = ~adj_bool[a, b + 1 :] & ~adj_bool[b, b + 1 :]
-            if not valid.any():
-                return None
-        else:
-            valid = None
-        clear_ab = ~((1 << a) | (1 << b))
-        bases = {
-            0: (~(rows[a] | rows[b])) & g.full_mask & clear_ab,
-            1: rows[a] & ~rows[b] & clear_ab,
-            2: ~rows[a] & rows[b] & clear_ab,
-        }
-        if not ab_adjacent:
-            bases[3] = rows[a] & rows[b]
-        best: Optional[tuple[int, int]] = None  # (c, B-membership mask)
-
-        def note(c: Optional[int], mask: int):
-            nonlocal best
-            if c is not None and (best is None or (c, mask) < best):
-                best = (c, mask)
-
-        for b2mask in (0, 1, 2, 3):
-            base_int = bases.get(b2mask)
-            if base_int is None:
-                continue
-            size = base_int.bit_count()
-            base_w = to_words(base_int) if size else None
-            # c outside B (B = the b2mask subset of {a, b}): some candidate
-            # must avoid N(c) and c itself
-            if size == 0:
-                note(b + 1 if valid is None else
-                     (None if (ft := first_true(valid)) is None else b + 1 + ft),
-                     b2mask)
-            elif size <= maxdeg + 1:
-                # a larger base cannot be swallowed by any closed neighborhood
-                ok = (not_hi & base_w).any(axis=1)
-                if valid is not None:
-                    ok |= ~valid
-                if not ok.all():
-                    note(b + 1 + int(np.argmin(ok)), b2mask)
-            # c inside B (B = b2mask subset + {c}): some candidate must be
-            # adjacent to c; B must stay independent
-            if valid is not None:
-                cvalid = valid
-            else:
-                cvalid = np.ones(ncs, dtype=bool)
-                if b2mask & 1:
-                    cvalid &= ~adj_bool[a, b + 1 :]
-                if b2mask & 2:
-                    cvalid &= ~adj_bool[b, b + 1 :]
-            if size == 0:
-                bad = cvalid
-            else:
-                ok = (adj_hi & base_w).any(axis=1)
-                bad = cvalid & ~ok
-            note(None if (ft := first_true(bad)) is None else b + 1 + ft, b2mask | 4)
-        if best is None:
-            return None
-        c, mask = best
-        a_set = (a, b, c)
-        b_set = tuple(a_set[i] for i in range(3) if (mask >> i) & 1)
-        return a_set, b_set
-
-    def worker(lo: int, hi: int) -> Optional[tuple]:
-        if lo >= hi:
-            return None
-        a, b = _pair_from_rank(lo, n)
-        for _ in range(lo, hi):
-            res = check_pair(a, b)
-            if res is not None:
-                return res
-            b += 1
-            if b == n:
-                a += 1
-                b = a + 1
-        return None
-
-    return _run_chunks(_pair_count(n), threads, worker)
-
-
-def satisfies_e_k(
-    g: Graph, k: int, threads: int = 1
-) -> tuple[bool, Optional[tuple[tuple, tuple]]]:
+def satisfies_e_k(g: Graph, k: int) -> tuple[bool, Optional[tuple[tuple, tuple]]]:
     """Definitional existential completeness check.
 
     For every A of at most k vertices and every independent B inside A there
@@ -430,28 +450,16 @@ def satisfies_e_k(
         raise ParameterError(f"existential completeness needs k >= 1, got {k}")
     if g.order == 0:
         return False, ((), ())
-    small = min(k, 2) if g.order >= _VECTOR_MIN_ORDER and k >= 3 else k
-    witness = _e_k_generic_limited(g, small)
-    if witness is not None:
-        return False, witness
-    if small == k:
-        return True, None
-    witness = _e3_vectorized_pairs(g, threads, independent_only=False)
-    if witness is not None:
-        return False, witness
+    cnt = _Counts(g)
+    for size in range(1, min(k, 3) + 1):
+        witness = _first_unrealized(cnt, size, independent=False)
+        if witness is not None:
+            return False, witness
     for size in range(4, k + 1):
         witness = _e_k_size_generic(g, size)
         if witness is not None:
             return False, witness
     return True, None
-
-
-def _e_k_generic_limited(g: Graph, kmax: int) -> Optional[tuple[tuple, tuple]]:
-    for size in range(1, kmax + 1):
-        witness = _e_k_size_generic(g, size)
-        if witness is not None:
-            return witness
-    return None
 
 
 def _e_k_size_generic(g: Graph, size: int) -> Optional[tuple[tuple, tuple]]:
@@ -487,9 +495,7 @@ def _extends_to_independent(g: Graph, s_set: tuple[int, ...], k: int) -> bool:
     return rec(cand, k - len(s_set))
 
 
-def satisfies_e_k_prime(
-    g: Graph, k: int, threads: int = 1
-) -> tuple[bool, Optional[tuple]]:
+def satisfies_e_k_prime(g: Graph, k: int) -> tuple[bool, Optional[tuple]]:
     """The exactly-k variant: every independent A of cardinality exactly k
     realizes all subsets B (witness ("attach", A, B) on failure), and every
     independent set of fewer than k vertices extends to an independent
@@ -500,10 +506,22 @@ def satisfies_e_k_prime(
     """
     if k < 2:
         raise ParameterError(f"exactly-k completeness needs k >= 2, got {k}")
+    if g.order == 0:
+        return False, ("extend", ())
+    if k > 3:
+        return _e_k_prime_generic(g, k)
+    cnt = _Counts(g)
+    s_set = _first_unextendable(cnt, k)
+    if s_set is not None:
+        return False, ("extend", s_set)
+    witness = _first_unrealized(cnt, k, independent=True)
+    return (True, None) if witness is None else (False, ("attach",) + witness)
+
+
+def _e_k_prime_generic(g: Graph, k: int) -> tuple[bool, Optional[tuple]]:
+    """satisfies_e_k_prime by enumerating the sets one by one."""
     rows = g.rows
     n = g.order
-    if n == 0:
-        return False, ("extend", ())
     if not _extends_to_independent(g, (), k):
         return False, ("extend", ())
     for size in range(1, k):
@@ -512,11 +530,6 @@ def satisfies_e_k_prime(
                 continue
             if not _extends_to_independent(g, s_set, k):
                 return False, ("extend", s_set)
-    if k == 3 and n >= _VECTOR_MIN_ORDER:
-        witness = _e3_vectorized_pairs(g, threads, independent_only=True)
-        if witness is not None:
-            return False, ("attach", witness[0], witness[1])
-        return True, None
     for a_set in combinations(range(n), k):
         if not _independent(rows, a_set):
             continue
@@ -623,36 +636,44 @@ def _timed(report: PropertyReport, name: str, fn: Callable[[], tuple]) -> tuple:
     return verdict, witness
 
 
-def is_3ectf(g: Graph, threads: int = 1) -> PropertyReport:
+def _triangle_gate(g: Graph) -> tuple[PropertyReport, bool]:
+    """A report holding the triangle check; with a triangle the 3ECTF
+    verdict is settled there."""
+    report = PropertyReport(g.order, g.edge_count)
+    tf, triangle = _timed(report, "triangle_free", lambda: is_triangle_free(g))
+    if not tf:
+        report.add("is_3ectf", False, ("triangle", triangle))
+    return report, tf
+
+
+def _add_3ectf_verdict(report: PropertyReport) -> None:
+    """The 3ECTF verdict from adj_3, twin_free and is_circular, with the
+    first failing one as the reason."""
+    reason = None
+    if not report.verdict("adj_3"):
+        reason = ("uncovered", report.witness("adj_3"))
+    elif not report.verdict("twin_free"):
+        reason = ("twins", report.witness("twin_free"))
+    elif report.is_circular is not None:
+        reason = ("circular", report.is_circular)
+    report.add("is_3ectf", reason is None, reason)
+
+
+def is_3ectf(g: Graph) -> PropertyReport:
     """Fast-path 3ECTF verdict: triangle-free, all independent sets of at
     most 3 vertices have common neighbors, twin-free, and not circular."""
-    report = PropertyReport(g.order, g.edge_count)
-    tf, _ = _timed(report, "triangle_free", lambda: is_triangle_free(g))
-    if not tf:
-        report.add("is_3ectf", False, ("triangle", report.witness("triangle_free")))
-        return report
-    adj3, _ = _timed(report, "adj_3", lambda: satisfies_adj_k(g, 3, threads))
-    twin, _ = _timed(report, "twin_free", lambda: is_twin_free(g))
-    start = time.perf_counter()
-    circ = recognize_circular(g)
-    report.add("is_circular", circ, None, (time.perf_counter() - start) * 1e3)
-    verdict = adj3 and twin and circ is None
-    reason = None
-    if not verdict:
-        if not adj3:
-            reason = ("uncovered", report.witness("adj_3"))
-        elif not twin:
-            reason = ("twins", report.witness("twin_free"))
-        else:
-            reason = ("circular", circ)
-    report.add("is_3ectf", verdict, reason)
+    report, tf = _triangle_gate(g)
+    if tf:
+        _timed(report, "adj_3", lambda: satisfies_adj_k(g, 3))
+        _timed(report, "twin_free", lambda: is_twin_free(g))
+        _timed(report, "is_circular", lambda: (recognize_circular(g), None))
+        _add_3ectf_verdict(report)
     return report
 
 
 def certify(
     g: Graph,
     k_max: int = 3,
-    threads: int = 1,
     include_extension: bool = True,
 ) -> PropertyReport:
     """Full property battery through the requested k.
@@ -664,36 +685,21 @@ def certify(
     """
     if k_max < 1:
         raise ParameterError(f"certify needs k_max >= 1, got {k_max}")
-    report = PropertyReport(g.order, g.edge_count)
-    tf, _ = _timed(report, "triangle_free", lambda: is_triangle_free(g))
+    report, tf = _triangle_gate(g)
     if not tf:
-        report.add("is_3ectf", False, ("triangle", report.witness("triangle_free")))
         return report
     _timed(report, "twin_free", lambda: is_twin_free(g))
     _timed(report, "anti_triangle", lambda: has_anti_triangle(g))
     for k in range(1, k_max + 1):
-        _timed(report, f"adj_{k}", lambda k=k: satisfies_adj_k(g, k, threads))
-    adj2 = report.verdict("adj_2") if k_max >= 2 else satisfies_adj_k(g, 2, threads)[0]
+        _timed(report, f"adj_{k}", lambda k=k: satisfies_adj_k(g, k))
+    adj2 = report.verdict("adj_2") if k_max >= 2 else satisfies_adj_k(g, 2)[0]
     report.add("maximal_triangle_free", tf and adj2)
     if include_extension:
         for k in range(1, k_max + 1):
-            _timed(report, f"e_{k}", lambda k=k: satisfies_e_k(g, k, threads))
-    start = time.perf_counter()
-    circ = recognize_circular(g)
-    report.add("is_circular", circ, None, (time.perf_counter() - start) * 1e3)
+            _timed(report, f"e_{k}", lambda k=k: satisfies_e_k(g, k))
+    _timed(report, "is_circular", lambda: (recognize_circular(g), None))
     if k_max >= 3:
-        verdict = bool(report.verdict("adj_3")) and bool(
-            report.verdict("twin_free")
-        ) and circ is None
-        reason = None
-        if not verdict:
-            if not report.verdict("adj_3"):
-                reason = ("uncovered", report.witness("adj_3"))
-            elif not report.verdict("twin_free"):
-                reason = ("twins", report.witness("twin_free"))
-            else:
-                reason = ("circular", circ)
-        report.add("is_3ectf", verdict, reason)
+        _add_3ectf_verdict(report)
     return report
 
 
@@ -730,7 +736,6 @@ def multiplicity(
     mode: str = "exact",
     trials: int = 10000,
     seed: int = 0,
-    threads: int = 1,
 ) -> MultiplicityResult:
     """Smallest number of common neighbors over independent k-sets.
 
@@ -745,16 +750,14 @@ def multiplicity(
         raise ParameterError(f"multiplicity mode must be exact or sampled, got {mode}")
     if mode == "sampled":
         return _multiplicity_sampled(g, k, trials, seed)
-    value_witness = _multiplicity_exact(g, k, threads)
+    value_witness = _multiplicity_exact(g, k)
     if value_witness is None:
         return MultiplicityResult(k, None, None, exact=True)
     value, witness = value_witness
     return MultiplicityResult(k, value, witness, exact=True)
 
 
-def _multiplicity_exact(
-    g: Graph, k: int, threads: int
-) -> Optional[tuple[int, tuple]]:
+def _multiplicity_exact(g: Graph, k: int) -> Optional[tuple[int, tuple]]:
     rows = g.rows
     n = g.order
     if k == 1:
@@ -764,108 +767,17 @@ def _multiplicity_exact(
             if best is None or d < best[0]:
                 best = (d, (v,))
         return best
-    if k == 2:
-        res = _min_over_chunks(
-            _pair_count(n), threads, lambda lo, hi: _mu2_worker(g, lo, hi)
-        )
-        return (res[0], res[2]) if res is not None else None
-    if k == 3:
-        if n >= _VECTOR_MIN_ORDER:
-            res = _min_over_chunks(
-                _pair_count(n), threads, lambda lo, hi: _mu3_worker_np(g, lo, hi)
-            )
-        else:
-            res = _min_over_chunks(
-                _pair_count(n), threads, lambda lo, hi: _mu3_worker(g, lo, hi)
-            )
-        return (res[0], res[2]) if res is not None else None
-    return _mu_generic(g, k)
-
-
-def _mu2_worker(g: Graph, lo: int, hi: int) -> Optional[tuple]:
-    rows = g.rows
-    n = g.order
-    if lo >= hi:
-        return None
-    a, b = _pair_from_rank(lo, n)
+    if k > 3:
+        return _mu_generic(g, k)
+    cnt = _Counts(g)
     best = None
-    r = lo
-    while r < hi:
-        if not (rows[a] >> b) & 1:
-            cnt = (rows[a] & rows[b]).bit_count()
-            if best is None or cnt < best[0]:
-                best = (cnt, r, (a, b))
-                if cnt == 0:
-                    return best
-        r += 1
-        b += 1
-        if b == n:
-            a += 1
-            b = a + 1
-    return best
-
-
-def _mu3_worker(g: Graph, lo: int, hi: int) -> Optional[tuple]:
-    rows = g.rows
-    n = g.order
-    full = g.full_mask
-    if lo >= hi:
-        return None
-    a, b = _pair_from_rank(lo, n)
-    best = None
-    r = lo
-    while r < hi:
-        if not (rows[a] >> b) & 1:
-            both = rows[a] & rows[b]
-            cand = ~(rows[a] | rows[b]) & full & ~((1 << (b + 1)) - 1)
-            for c in iter_bits(cand):
-                cnt = (both & rows[c]).bit_count()
-                if best is None or cnt < best[0]:
-                    best = (cnt, r, (a, b, c))
-                    if cnt == 0:
-                        return best
-        r += 1
-        b += 1
-        if b == n:
-            a += 1
-            b = a + 1
-    return best
-
-
-def _mu3_worker_np(g: Graph, lo: int, hi: int) -> Optional[tuple]:
-    rows = g.rows
-    n = g.order
-    packed = g.packed()
-    words = packed.shape[1]
-    if lo >= hi:
-        return None
-    nonadj = np.zeros((n, n), dtype=bool)
-    for v in range(n):
-        nonadj[v, bit_indices(rows[v])] = True
-    np.logical_not(nonadj, out=nonadj)
-    np.fill_diagonal(nonadj, False)
-    a, b = _pair_from_rank(lo, n)
-    best = None
-    r = lo
-    while r < hi:
-        if nonadj[a, b]:
-            both = rows[a] & rows[b]
-            both_w = np.frombuffer(both.to_bytes(words * 8, "little"), dtype="<u8")
-            cand = nonadj[a, b + 1 :] & nonadj[b, b + 1 :]
-            idx = np.nonzero(cand)[0]
-            if idx.size:
-                counts = np.bitwise_count(packed[b + 1 :][idx] & both_w).sum(axis=1)
-                pos = int(np.argmin(counts))
-                cnt = int(counts[pos])
-                if best is None or cnt < best[0]:
-                    best = (cnt, r, (a, b, b + 1 + int(idx[pos])))
-                    if cnt == 0:
-                        return best
-        r += 1
-        b += 1
-        if b == n:
-            a += 1
-            b = a + 1
+    for blk in (cnt.pair_blocks() if k == 2 else cnt.triple_blocks()):
+        counts = np.where(blk.independent(), blk.common, np.inf)
+        pos = np.unravel_index(int(np.argmin(counts)), counts.shape)
+        if counts[pos] < np.inf and (best is None or counts[pos] < best[0]):
+            best = (int(counts[pos]), blk.members(*(int(i) for i in pos)))
+            if best[0] == 0:
+                break
     return best
 
 

@@ -43,6 +43,14 @@ SHATTERED_8X8_SEEDS = [
 ]
 
 
+def random_graph(n: int, p: float, seed: int) -> Graph:
+    """Seeded G(n, p): each pair is an edge with probability p."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return Graph.from_edges(
+        n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
+    )
+
+
 def random_maximal_triangle_free(n: int, seed: int) -> Graph:
     """Greedy completion of a seeded random edge order: an edge is added
     whenever its endpoints have no current common neighbor, which yields a
@@ -97,10 +105,11 @@ def nbrs(g: Graph, v: int) -> set[int]:
 
 
 def ref_satisfies_e_k(g: Graph, k: int):
-    """Reference existential-completeness check with sets and loops."""
+    """Reference existential-completeness check with sets and loops.  The
+    empty A needs some vertex, so only the empty graph fails at size 0."""
     n = g.order
     verts = range(n)
-    for size in range(1, k + 1):
+    for size in range(0, k + 1):
         for a_set in combinations(verts, size):
             for bmask in range(1 << size):
                 b_set = [a_set[i] for i in range(size) if (bmask >> i) & 1]
@@ -139,14 +148,49 @@ def ref_satisfies_adj_k(g: Graph, k: int):
 
 
 def ref_multiplicity(g: Graph, k: int):
-    best = None
+    return ref_multiplicity_witness(g, k)[0]
+
+
+def ref_multiplicity_witness(g: Graph, k: int):
+    """(minimum common-neighbor count over independent k-sets, the first
+    such set in lexicographic order attaining it); (None, None) if none."""
+    best = (None, None)
     for s_set in combinations(range(g.order), k):
         if any(g.adjacent(u, v) for u, v in combinations(s_set, 2)):
             continue
         cnt = len(set.intersection(*(nbrs(g, v) for v in s_set)))
-        if best is None or cnt < best:
-            best = cnt
+        if best[0] is None or cnt < best[0]:
+            best = (cnt, s_set)
     return best
+
+
+def ref_satisfies_e_k_prime(g: Graph, k: int):
+    """Reference exactly-k check: every independent set of fewer than k
+    vertices lies in an independent k-set ("extend" witness), then every
+    independent k-set A realizes every B inside it ("attach" witness)."""
+    n = g.order
+
+    def independent(s):
+        return not any(g.adjacent(u, v) for u, v in combinations(s, 2))
+
+    k_sets = [set(s) for s in combinations(range(n), k) if independent(s)]
+    for size in range(k):
+        for s_set in combinations(range(n), size):
+            if independent(s_set) and not any(set(s_set) <= t for t in k_sets):
+                return False, ("extend", s_set)
+    for a_set in combinations(range(n), k):
+        if not independent(a_set):
+            continue
+        for bmask in range(1 << k):
+            b_set = tuple(a_set[i] for i in range(k) if (bmask >> i) & 1)
+            if not any(
+                all(g.adjacent(v, b) for b in b_set)
+                and not any(g.adjacent(v, c) for c in a_set if c not in b_set)
+                for v in range(n)
+                if v not in a_set
+            ):
+                return False, ("attach", a_set, b_set)
+    return True, None
 
 
 def center_exists_bruteforce(dim, x, y, z, a, b, c) -> bool:

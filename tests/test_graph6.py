@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ectf import (
+    CapacityError,
     Graph,
     Graph6ParseError,
     decode_graph6,
@@ -13,16 +14,7 @@ from ectf import (
     write_graph6_file,
 )
 
-
-def random_graph(n: int, p: float, seed: int) -> Graph:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p
-    ]
-    return Graph.from_edges(n, edges)
+from helpers import random_graph
 
 
 def test_single_edge_is_A_underscore():
@@ -101,6 +93,15 @@ class TestMalformed:
     def test_truncated_size_header(self):
         with pytest.raises(Graph6ParseError):
             decode_graph6(b"~?")
+
+    def test_capacity_from_header_alone(self):
+        # n = 40000 > 2^15 with a full-length body: the size header settles
+        # it, before any pass over the ~800 million adjacency bits
+        n = 40000
+        head = bytes([126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)])
+        nbytes = (n * (n - 1) // 2 + 5) // 6
+        with pytest.raises(CapacityError, match="40000"):
+            decode_graph6(head.ljust(4 + nbytes, b"?"))
 
 
 def test_file_roundtrip(tmp_path):

@@ -260,10 +260,10 @@ class TestShatteredFraction:
         assert 0.0 < frac < 1.0
 
     def test_deterministic_and_thread_independent(self):
+        # single-threaded now: two runs on one seed agree
         a = shattered_fraction(4, 4, 400, seed=5)
         b = shattered_fraction(4, 4, 400, seed=5)
-        c = shattered_fraction(4, 4, 400, seed=5, threads=4)
-        assert a == b == c
+        assert a == b
 
     def test_matches_per_trial_matrices(self):
         trials = 50

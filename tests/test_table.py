@@ -43,10 +43,10 @@ def test_size_budget_skips_rows():
 
 
 def test_json_byte_identical_across_runs_and_threads():
-    a = table_to_json(run_table(max_size=1100, threads=1))
-    b = table_to_json(run_table(max_size=1100, threads=1))
-    c = table_to_json(run_table(max_size=1100, threads=4))
-    assert a == b == c
+    # one code path now: the same run twice gives the same bytes
+    a = table_to_json(run_table(max_size=1100))
+    b = table_to_json(run_table(max_size=1100))
+    assert a == b
     assert a.endswith("\n")
     json.loads(a)
 

@@ -29,20 +29,26 @@ from ectf import (
     twisted_four,
 )
 from ectf.shattered import BitMatrix
+from ectf import verify
 from ectf.verify import (
-    _e3_vectorized_pairs,
+    _Counts,
+    _e_k_prime_generic,
     _e_k_size_generic,
+    _first_unrealized,
+    _mu_generic,
     certify,
-    _pair_from_rank,
 )
 
 from helpers import (
     MASTER_SEED,
     center_exists_bruteforce,
+    random_graph,
     random_maximal_triangle_free,
     ref_multiplicity,
+    ref_multiplicity_witness,
     ref_satisfies_adj_k,
     ref_satisfies_e_k,
+    ref_satisfies_e_k_prime,
 )
 
 
@@ -136,12 +142,6 @@ class TestAdjK:
         for k in (1, 2, 3, 4):
             assert satisfies_adj_k(g, k) == ref_satisfies_adj_k(g, k)
 
-    def test_thread_count_does_not_change_result(self):
-        g = random_maximal_triangle_free(30, MASTER_SEED)
-        base = satisfies_adj_k(g, 3, threads=1)
-        assert satisfies_adj_k(g, 3, threads=2) == base
-        assert satisfies_adj_k(g, 3, threads=5) == base
-
 
 class TestEK:
     def test_clebsch_k3_true(self):
@@ -186,11 +186,14 @@ class TestEK:
 
 
 class TestVectorizedAgreesWithGeneric:
+    """The count kernel's size-3 scan against the set-by-set enumeration
+    that sizes 4 and up use."""
+
     @pytest.mark.parametrize("seed", range(8))
     def test_maximal_triangle_free_90(self, seed):
         g = random_maximal_triangle_free(90, MASTER_SEED + 200 + seed)
         generic = _e_k_size_generic(g, 3)
-        vector = _e3_vectorized_pairs(g, threads=1, independent_only=False)
+        vector = _first_unrealized(_Counts(g), 3, independent=False)
         assert generic == vector
 
     def test_sparse_failing_case(self):
@@ -198,9 +201,65 @@ class TestVectorizedAgreesWithGeneric:
             90, [(i, i + 1) for i in range(89)] + [(89, 0)]
         )  # big cycle: plenty of failures
         generic = _e_k_size_generic(g, 3)
-        vector = _e3_vectorized_pairs(g, threads=1, independent_only=False)
+        vector = _first_unrealized(_Counts(g), 3, independent=False)
         assert generic == vector
-        assert _e3_vectorized_pairs(g, threads=3, independent_only=False) == vector
+
+
+def oracle_graphs(n):
+    """Seeded graphs on n vertices: two random ones (with triangles once n
+    allows), a maximal triangle-free one, the n-cycle, and circular(m) when
+    n = 3m - 1 (those pass every size-2 check and fail e_3)."""
+    graphs = [random_graph(n, p, MASTER_SEED + 700 + 10 * n + i) for i, p in enumerate((0.3, 0.6))]
+    graphs.append(random_maximal_triangle_free(n, MASTER_SEED + 900 + n))
+    if n >= 3:
+        graphs.append(Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]))
+    if n % 3 == 2:
+        graphs.append(circular((n + 1) // 3))
+    return graphs
+
+
+class TestKernelAgreesWithOracle:
+    """Verdicts and first witnesses of every size-<=3 scan against the
+    plain-set references in helpers."""
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_scans(self, n):
+        for g in oracle_graphs(n):
+            for k in (1, 2, 3):
+                assert satisfies_adj_k(g, k) == ref_satisfies_adj_k(g, k)
+                assert satisfies_e_k(g, k) == ref_satisfies_e_k(g, k)
+            for k in (2, 3):
+                assert satisfies_e_k_prime(g, k) == ref_satisfies_e_k_prime(g, k)
+                res = multiplicity(g, k)
+                assert (res.value, res.witness) == ref_multiplicity_witness(g, k)
+
+    def test_corpus_reaches_size_three(self):
+        graphs = [g for n in range(21) for g in oracle_graphs(n)]
+        assert any(g.order and not is_triangle_free(g)[0] for g in graphs)
+        e3_first = [g for g in graphs if satisfies_e_k(g, 2)[0] and not satisfies_e_k(g, 3)[0]]
+        adj3_first = [
+            g for g in graphs if satisfies_adj_k(g, 2)[0] and not satisfies_adj_k(g, 3)[0]
+        ]
+        assert len(e3_first) >= 5 and adj3_first
+
+    @pytest.mark.parametrize("block, dense_max", [(64, 1 << 13), (200, 0), (1 << 20, 0)])
+    def test_block_layout_does_not_change_results(self, monkeypatch, block, dense_max):
+        graphs = [
+            random_graph(37, 0.3, MASTER_SEED + 1000),
+            random_maximal_triangle_free(41, MASTER_SEED + 1001),
+            circular(13),
+        ]
+        checks = [
+            lambda g: satisfies_adj_k(g, 3),
+            lambda g: satisfies_e_k(g, 3),
+            lambda g: satisfies_e_k_prime(g, 3),
+            lambda g: multiplicity(g, 2),
+            lambda g: multiplicity(g, 3),
+        ]
+        expected = [check(g) for g in graphs for check in checks]
+        monkeypatch.setattr(verify, "_BLOCK", block)
+        monkeypatch.setattr(verify, "_DENSE_MAX", dense_max)
+        assert [check(g) for g in graphs for check in checks] == expected
 
 
 class TestEKPrime:
@@ -231,17 +290,9 @@ class TestEKPrime:
         assert satisfies_e_k_prime(g, k)[0] == satisfies_e_k(g, k)[0]
 
     def test_vectorized_route_matches_small_route(self):
+        # the count kernel against the set-by-set route of k >= 4
         g = random_maximal_triangle_free(90, MASTER_SEED + 400)
-        verdict, witness = satisfies_e_k_prime(g, 3)
-        # force the generic route by rebuilding below the size threshold
-        from ectf import verify as V
-
-        old = V._VECTOR_MIN_ORDER
-        try:
-            V._VECTOR_MIN_ORDER = 10**9
-            assert satisfies_e_k_prime(g, 3) == (verdict, witness)
-        finally:
-            V._VECTOR_MIN_ORDER = old
+        assert satisfies_e_k_prime(g, 3) == _e_k_prime_generic(g, 3)
 
 
 class TestRecognizeCircular:
@@ -328,9 +379,10 @@ class TestCertifyReport:
         assert payload["checks"]["anti_triangle"]["verdict"] is False
 
     def test_json_stable_across_runs_and_threads(self):
+        # one code path now: the same call twice gives the same bytes
         g = random_maximal_triangle_free(40, MASTER_SEED)
-        a = certify(g, k_max=3, threads=1).to_json()
-        b = certify(g, k_max=3, threads=4).to_json()
+        a = certify(g, k_max=3).to_json()
+        b = certify(g, k_max=3).to_json()
         assert a == b
 
 
@@ -381,24 +433,10 @@ class TestMultiplicity:
         assert again.value == sampled.value and again.witness == sampled.witness
 
     def test_numpy_route_matches_python_route(self):
-        from ectf import verify as V
-
+        # the count kernel against the recursive enumeration of k >= 4
         g = random_maximal_triangle_free(100, MASTER_SEED + 1)
         fast = multiplicity(g, 3)
-        old = V._VECTOR_MIN_ORDER
-        try:
-            V._VECTOR_MIN_ORDER = 10**9
-            slow = multiplicity(g, 3)
-        finally:
-            V._VECTOR_MIN_ORDER = old
-        assert (fast.value, fast.witness) == (slow.value, slow.witness)
-
-    def test_thread_counts_agree(self):
-        g = random_maximal_triangle_free(40, MASTER_SEED + 2)
-        base = multiplicity(g, 2)
-        for threads in (2, 3, 8):
-            res = multiplicity(g, 2, threads=threads)
-            assert (res.value, res.witness) == (base.value, base.witness)
+        assert (fast.value, fast.witness) == _mu_generic(g, 3)
 
 
 class TestTriangleCenter:
@@ -518,11 +556,3 @@ class TestMu2Formula:
         cn = common_neighbors(g, triple)
         assert cn == 1 << (g.order - 1)  # exactly the all-ones vector
 
-
-def test_pair_rank_inversion():
-    n = 23
-    rank = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            assert _pair_from_rank(rank, n) == (a, b)
-            rank += 1
