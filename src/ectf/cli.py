@@ -13,7 +13,7 @@ import sys
 from collections import Counter
 
 from . import families
-from .graph6 import Graph6ParseError, encode_graph6, read_graph6_file
+from .graph6 import Graph6ParseError, read_graph6_file, write_graph6_file
 from .graphs import CapacityError, Graph, ParameterError, degree_stats
 from .shattered import (
     RNG_ALGORITHM,
@@ -129,8 +129,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def cmd_construct(args) -> int:
     g = build_family(args.spec)
-    with open(args.out, "wb") as fh:
-        fh.write(encode_graph6(g) + b"\n")
+    write_graph6_file(args.out, [g])
     if g.labels is not None:
         with open(str(args.out) + ".labels", "w", encoding="ascii") as fh:
             for label in g.labels:

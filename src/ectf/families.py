@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from itertools import combinations
 
-import numpy as np
-
 from .graphs import (
     MAX_VERTICES,
     CapacityError,
@@ -20,6 +18,8 @@ from .graphs import (
     Graph,
     ParameterError,
     build_cayley,
+    hamming_packed,
+    packed_rows,
 )
 from .shattered import BitMatrix, Tournament, canonical_tournaments
 
@@ -94,17 +94,6 @@ def hypercube_ckj(k: int, j: int) -> Graph:
     return build_cayley(DistanceSetSpec(dim, dists))
 
 
-def _hamming_masks(dim: int, dists: set[int]) -> list[int]:
-    """mask[x] = bitset of y in Z_2^dim with hamming(x, y) in dists."""
-    size = 1 << dim
-    member = np.zeros(dim + 1, dtype=bool)
-    member[sorted(d for d in dists if d <= dim)] = True
-    ids = np.arange(size, dtype=np.uint32)
-    adj = member[np.bitwise_count(ids[:, None] ^ ids[None, :])]
-    packed = np.packbits(adj, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
 def hypercube_layers(k: int, m: int) -> Graph:
     """m layered copies of Z_2^(3k-1): inside a layer the distances are
     {2k-1} and 2k+1 .. 3k-1, across layers 2k .. 3k-1."""
@@ -122,8 +111,8 @@ def hypercube_layers(k: int, m: int) -> Graph:
         )
     within = {2 * k - 1} | set(range(2 * k + 1, dim + 1))
     cross = set(range(2 * k, dim + 1))
-    wmask = _hamming_masks(dim, within)
-    cmask = _hamming_masks(dim, cross)
+    wmask = packed_rows(hamming_packed(dim, within))
+    cmask = packed_rows(hamming_packed(dim, cross))
     rows = []
     labels = []
     for i in range(1, m + 1):
@@ -243,8 +232,8 @@ def twisted_tournament_hypercube(t: Tournament, m: int, k: int) -> Graph:
         )
     within = {2 * k - 1} | set(range(2 * k + 1, dim + 1))
     cross = set(range(2 * k, dim + 1))
-    wmask = _hamming_masks(dim, within)
-    cmask = _hamming_masks(dim, cross)
+    wmask = packed_rows(hamming_packed(dim, within))
+    cmask = packed_rows(hamming_packed(dim, cross))
     # cross-part rule for an arc i -> i': x in part i sees x' with
     # hamming(x, twist(x')) in the cross distances
     fwd = [0] * block  # over x: bitset of x'

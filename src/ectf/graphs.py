@@ -207,6 +207,27 @@ class Graph:
             self._packed = arr
         return self._packed
 
+    @classmethod
+    def _from_packed(
+        cls, packed: np.ndarray, labels: Optional[Sequence[tuple]] = None
+    ) -> "Graph":
+        """Graph over a symmetric, irreflexive packed adjacency in the
+        layout of `packed()`, which is kept as the cache of that view."""
+        g = cls(packed_rows(packed), labels=labels, validate=False)
+        packed.flags.writeable = False
+        g._packed = packed
+        return g
+
+
+def packed_rows(packed: np.ndarray) -> list[int]:
+    """Bitset rows of an (n, words) uint64 adjacency with little-endian
+    words, the layout of `Graph.packed()`."""
+    buf = memoryview(np.ascontiguousarray(packed, dtype="<u8").reshape(-1).view(np.uint8))
+    size = 8 * packed.shape[1]
+    return [
+        int.from_bytes(buf[i : i + size], "little") for i in range(0, len(buf), size)
+    ]
+
 
 @dataclass(frozen=True)
 class DistanceSetSpec:
@@ -229,6 +250,24 @@ class DistanceSetSpec:
                 )
 
 
+def hamming_packed(dim: int, dists: Iterable[int]) -> np.ndarray:
+    """Packed adjacency (layout of `Graph.packed()`) of the Cayley graph on
+    Z_2^dim with x ~ y iff hamming(x, y) in dists; distances outside
+    1..dim are ignored, so an empty or out-of-range set gives no edges."""
+    n = 1 << dim
+    member = np.zeros(dim + 1, dtype=bool)
+    member[[d for d in set(dists) if 1 <= d <= dim]] = True
+    ids = np.arange(n, dtype=np.uint32)
+    words = max(1, (n + 63) // 64)
+    out = np.zeros((n, words * 8), dtype=np.uint8)
+    chunk = max(1, min(n, (1 << 22) // n))
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        adj = member[np.bitwise_count(ids[lo:hi, None] ^ ids[None, :])]
+        out[lo:hi, : (n + 7) // 8] = np.packbits(adj, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
 def build_cayley(spec: DistanceSetSpec) -> Graph:
     """Materialize the Cayley graph of a DistanceSetSpec.
 
@@ -241,24 +280,8 @@ def build_cayley(spec: DistanceSetSpec) -> Graph:
             f"2^{spec.dim} = {n} vertices exceeds the representation "
             f"limit of {MAX_VERTICES} (= 2^15) vertices"
         )
-    member = np.zeros(spec.dim + 1, dtype=bool)
-    member[sorted(spec.dists)] = True
-    ids = np.arange(n, dtype=np.uint32)
-    words = max(1, (n + 63) // 64)
-    rows = []
-    chunk = max(1, min(n, (1 << 22) // n))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        dist = np.bitwise_count(ids[lo:hi, None] ^ ids[None, :])
-        adj = member[dist]
-        packed = np.packbits(adj, axis=1, bitorder="little")
-        pad = words * 8 - packed.shape[1]
-        if pad:
-            packed = np.pad(packed, ((0, 0), (0, pad)))
-        for rb in packed:
-            rows.append(int.from_bytes(rb.tobytes(), "little"))
     labels = [tuple((v >> i) & 1 for i in range(spec.dim)) for v in range(n)]
-    return Graph(rows, labels=labels, validate=False)
+    return Graph._from_packed(hamming_packed(spec.dim, spec.dists), labels)
 
 
 def common_neighbors(g: Graph, s: Iterable[int]) -> int:

@@ -203,3 +203,44 @@ def center_exists_bruteforce(dim, x, y, z, a, b, c) -> bool:
         ):
             return True
     return False
+
+
+# -- plain-Python graph6 reference -------------------------------------------
+
+
+def ref_encode_graph6(g: Graph) -> bytes:
+    """graph6 bytes of g, one adjacency bit at a time: the upper triangle
+    column by column, big-endian 6-bit groups plus 63, zero-padded."""
+    n = g.order
+    if n <= 62:
+        head = bytes([n + 63])
+    else:
+        head = bytes([126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)])
+    bits = [(g.rows[v] >> u) & 1 for v in range(1, n) for u in range(v)]
+    bits += [0] * (-len(bits) % 6)
+    body = bytearray()
+    for i in range(0, len(bits), 6):
+        val = 0
+        for b in bits[i : i + 6]:
+            val = (val << 1) | b
+        body.append(val + 63)
+    return head + bytes(body)
+
+
+def ref_decode_graph6_rows(data: bytes) -> list[int]:
+    """Bitset rows of a well-formed graph6 string (no prefix, no newline),
+    one adjacency bit at a time."""
+    if data[0] == 126:
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        pos = 4
+    else:
+        n, pos = data[0] - 63, 1
+    rows = [0] * n
+    bit = 0
+    for v in range(1, n):
+        for u in range(v):
+            if (data[pos + bit // 6] - 63) >> (5 - bit % 6) & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            bit += 1
+    return rows
