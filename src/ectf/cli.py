@@ -18,12 +18,12 @@ from .graphs import CapacityError, Graph, ParameterError, degree_stats
 from .shattered import (
     RNG_ALGORITHM,
     canonical_tournaments,
-    is_shattered_matrix,
     is_shattered_tournament,
     random_matrix,
     random_tournament,
     read_matrix_file,
     read_tournament_file,
+    trial_is_shattered,
     trial_seeds,
     write_matrix_file,
     write_tournament_file,
@@ -209,29 +209,32 @@ def cmd_shatter(args) -> int:
             m, n = (int(tok) for tok in args.dims.lower().split("x"))
         except ValueError as exc:
             raise SpecError(f"matrix dims must look like 16x16, got {args.dims!r}") from exc
+        if m < 1 or n < 1:
+            raise ParameterError(f"matrix dimensions must be >= 1, got {m}x{n}")
         make = lambda s: random_matrix(m, n, s)
-        check = lambda inst: (
-            is_shattered_matrix(inst)[0] if m >= 3 and n >= 3 else False
-        )
+        hit = lambda s: trial_is_shattered(m, n, s)
         write = write_matrix_file
     else:
         try:
             v = int(args.dims)
         except ValueError as exc:
             raise SpecError(f"tournament dims must be an order, got {args.dims!r}") from exc
+        if v < 1:
+            raise ParameterError(f"tournament order must be >= 1, got {v}")
         make = lambda s: random_tournament(v, s)
-        check = lambda inst: (is_shattered_tournament(inst)[0] if v >= 4 else False)
+        hit = lambda s: v >= 4 and is_shattered_tournament(make(s))[0]
         write = write_tournament_file
+    if args.trials < 1:
+        raise SpecError(f"trials must be >= 1, got {args.trials}")
     hits = 0
     emitted = None
     for s in trial_seeds(args.seed, args.trials):
-        inst = make(s)
-        if check(inst):
+        if hit(s):
             hits += 1
             if emitted is None:
-                emitted = (s, inst)
+                emitted = s
                 if args.out:
-                    write(args.out, inst)
+                    write(args.out, make(s))
     fraction = hits / args.trials
     payload = {
         "kind": args.kind,
@@ -240,15 +243,15 @@ def cmd_shatter(args) -> int:
         "seed": args.seed,
         "rng": RNG_ALGORITHM,
         "fraction": fraction,
-        "emitted_seed": emitted[0] if emitted else None,
+        "emitted_seed": emitted,
         "out": args.out,
     }
     if args.format == "json":
         sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
     else:
         msg = f"shattered fraction {fraction:.4f} over {args.trials} trials (rng {RNG_ALGORITHM}, seed {args.seed})"
-        if emitted:
-            msg += f"; first hit seed {emitted[0]}"
+        if emitted is not None:
+            msg += f"; first hit seed {emitted}"
             if args.out:
                 msg += f" written to {args.out}"
         sys.stdout.write(msg + "\n")

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
+
 from .graphs import (
     MAX_VERTICES,
     CapacityError,
@@ -19,9 +21,11 @@ from .graphs import (
     ParameterError,
     build_cayley,
     hamming_packed,
-    packed_rows,
 )
 from .shattered import BitMatrix, Tournament, canonical_tournaments
+
+# unpacked adjacency bytes assembled at once by the layered constructions
+_BLOCK_BYTES = 1 << 22
 
 
 def albert_cycles(n: int) -> Graph:
@@ -109,21 +113,42 @@ def hypercube_layers(k: int, m: int) -> Graph:
             f"{m} * 2^{dim} = {order} vertices exceeds the representation "
             f"limit of {MAX_VERTICES} (= 2^15) vertices"
         )
+    labels = [(i, x) for i in range(1, m + 1) for x in range(block)]
+    packed = _copies_packed(np.ones((1, 1), dtype=np.intp), m, np.stack(_layer_blocks(k)))
+    return Graph._from_packed(packed, labels)
+
+
+def _layer_blocks(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """0/1 adjacency of Z_2^(3k-1) inside a layer (distances {2k-1} and
+    2k+1 .. 3k-1) and across layers (2k .. 3k-1)."""
+    dim = 3 * k - 1
     within = {2 * k - 1} | set(range(2 * k + 1, dim + 1))
     cross = set(range(2 * k, dim + 1))
-    wmask = packed_rows(hamming_packed(dim, within))
-    cmask = packed_rows(hamming_packed(dim, cross))
-    rows = []
-    labels = []
-    for i in range(1, m + 1):
-        for x in range(block):
-            row = 0
-            for ip in range(1, m + 1):
-                part = wmask[x] if ip == i else cmask[x]
-                row |= part << ((ip - 1) * block)
-            rows.append(row)
-            labels.append((i, x))
-    return Graph(rows, labels=labels)
+    return tuple(
+        np.unpackbits(
+            hamming_packed(dim, dists).view(np.uint8), axis=1, count=1 << dim, bitorder="little"
+        )
+        for dists in (within, cross)
+    )
+
+
+def _copies_packed(parts: np.ndarray, copies: int, blocks: np.ndarray) -> np.ndarray:
+    """Packed adjacency (layout of `Graph.packed()`) of a graph made of
+    parts, each of `copies` copies of one vertex set: a copy's rows against
+    its own columns are the 0/1 block blocks[0], and against a copy in parts
+    i, i' (the same part or not) blocks[parts[i, i']]."""
+    total, size = parts.shape[0] * copies, blocks.shape[1]
+    n = total * size
+    part = np.arange(total) // copies
+    out = np.zeros((n, 8 * max(1, (n + 63) // 64)), dtype=np.uint8)
+    step = max(1, _BLOCK_BYTES // (size * n))
+    for lo in range(0, total, step):
+        hi = min(total, lo + step)
+        kinds = parts[part[lo:hi, None], part]
+        kinds[np.arange(hi - lo), np.arange(lo, hi)] = 0
+        bits = blocks[kinds].transpose(0, 2, 1, 3).reshape((hi - lo) * size, n)
+        out[lo * size : hi * size, : (n + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    return out.view("<u8")
 
 
 def circular(n: int) -> Graph:
@@ -230,38 +255,17 @@ def twisted_tournament_hypercube(t: Tournament, m: int, k: int) -> Graph:
             f"{t.order} * {m} * 2^{dim} = {order} vertices exceeds the "
             f"representation limit of {MAX_VERTICES} (= 2^15) vertices"
         )
-    within = {2 * k - 1} | set(range(2 * k + 1, dim + 1))
-    cross = set(range(2 * k, dim + 1))
-    wmask = packed_rows(hamming_packed(dim, within))
-    cmask = packed_rows(hamming_packed(dim, cross))
+    within, cross = _layer_blocks(k)
     # cross-part rule for an arc i -> i': x in part i sees x' with
-    # hamming(x, twist(x')) in the cross distances
-    fwd = [0] * block  # over x: bitset of x'
-    for xp in range(block):
-        txp = twist(xp, dim)
-        for x in range(block):
-            if (cmask[txp] >> x) & 1:
-                fwd[x] |= 1 << xp
-    bwd = [cmask[twist(x, dim)] for x in range(block)]  # over x: bitset of x''
-
-    nblocks_per_part = m
-    pos = lambda i, j: (i * nblocks_per_part + (j - 1)) * block
-    rows = []
-    labels = []
-    for i in range(t.order):
-        for j in range(1, m + 1):
-            for x in range(block):
-                row = 0
-                for jp in range(1, m + 1):
-                    part = wmask[x] if jp == j else cmask[x]
-                    row |= part << pos(i, jp)
-                for ip in range(t.order):
-                    if t.dominates(i, ip):
-                        for jp in range(1, m + 1):
-                            row |= fwd[x] << pos(ip, jp)
-                    elif t.dominates(ip, i):
-                        for jp in range(1, m + 1):
-                            row |= bwd[x] << pos(ip, jp)
-                rows.append(row)
-                labels.append((i, j, x))
-    return Graph(rows, labels=labels)
+    # hamming(x, twist(x')) in the cross distances; the arc's reverse sees
+    # the transpose
+    tw = [twist(x, dim) for x in range(block)]
+    blocks = np.stack([within, cross, cross[:, tw], cross[tw, :]])
+    # blocks between parts: cross within a part, then along or against an arc
+    parts = np.array(
+        [[1 if i == ip else 2 if t.dominates(i, ip) else 3 for ip in range(t.order)]
+         for i in range(t.order)],
+        dtype=np.intp,
+    )
+    labels = [(i, j, x) for i in range(t.order) for j in range(1, m + 1) for x in range(block)]
+    return Graph._from_packed(_copies_packed(parts, m, blocks), labels)

@@ -1,69 +1,136 @@
-"""Graph isomorphism by color refinement plus backtracking.
+"""Graph isomorphism by individualization and refinement.
 
-Intended for the small instances this library needs (circular-graph
-recognition and family cross-checks).  Deterministic: for fixed inputs the
-same bijection is returned every time.
+`are_isomorphic` follows the scheme of McKay & Piperno, "Practical graph
+isomorphism II" (J. Symb. Comput. 60, 2014), without automorphism pruning
+or a canonical form.  The two graphs are coloured jointly, so that a colour
+means the same thing in both:
+
+* the initial colour of a vertex is its degree and, up to
+  `_PROFILE_MAX_ORDER` vertices, the sorted multiset of its common-neighbour
+  counts with every other vertex, read off one product M·M;
+* refinement splits colours by the multiset of neighbour colours until the
+  partition is equitable (1-WL), and gives up on the branch as soon as the
+  colour-class sizes of the two graphs differ;
+* while a class holds more than one vertex, the first g-vertex of the
+  smallest such class (lowest colour on ties) is individualized against
+  each h-vertex of that class in increasing order, and both graphs are
+  refined again.
+
+A discrete partition pairs each vertex of g with one of h; that bijection
+is checked against every arc before it is returned.  The search is
+deterministic: for fixed inputs the same bijection is returned every time.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Optional
+from typing import Iterator, Optional
 
-from .graphs import Graph, iter_bits
+import numpy as np
 
+from .graphs import Graph
 
 _PROFILE_MAX_ORDER = 600
 
+# adjacency bits unpacked at once when listing arcs
+_BLOCK_BITS = 1 << 20
 
-def _pair_profiles(g: Graph) -> list[tuple]:
-    """Per-vertex signature: degree plus the sorted multiset of
-    common-neighbor counts against every other vertex.
 
-    Isomorphism-invariant, and much finer than plain degrees on regular
-    graphs, where 1-WL refinement alone cannot split anything.
-    """
-    rows = g.rows
+def _initial_colours(g: Graph, h: Graph) -> np.ndarray:
+    """Joint colours 0..k-1 of g's vertices then h's: the degree plus, on
+    small graphs, the sorted common-neighbour counts with every other vertex."""
     n = g.order
-    return [
-        (
-            rows[v].bit_count(),
-            tuple(sorted((rows[v] & rows[u]).bit_count() for u in range(n) if u != v)),
-        )
-        for v in range(n)
-    ]
+    if n > _PROFILE_MAX_ORDER:
+        return _rank_rows(np.array(g.degrees() + h.degrees())[:, None])
+    profiles = []
+    for graph in (g, h):
+        m = np.unpackbits(graph.packed().view(np.uint8), axis=1, count=n, bitorder="little")
+        m = m.astype(np.float32)
+        # exact: every count is at most n < 2^24; the diagonal holds the degree
+        common = (m @ m).astype(np.int64)
+        others = np.sort(common[~np.eye(n, dtype=bool)].reshape(n, n - 1), axis=1)
+        profiles.append(np.column_stack([np.diagonal(common), others]))
+    return _rank_rows(np.vstack(profiles))
 
 
-def _refine_colors(g: Graph, h: Graph) -> tuple[list[int], list[int]]:
-    """Joint iterated neighbor-color refinement (1-WL) of both graphs.
+def _rank_rows(rows: np.ndarray) -> np.ndarray:
+    """Index of each row of a non-negative integer matrix among its
+    distinct rows, in lexicographic order.  Rows are compared as big-endian
+    byte strings, which sorts them as numbers and much faster than
+    `np.unique(..., axis=0)`."""
+    data = np.ascontiguousarray(rows, dtype=">u4")
+    keys = data.view(np.dtype((np.void, data.itemsize * data.shape[1]))).reshape(-1)
+    return np.unique(keys, return_inverse=True)[1].reshape(-1)
 
-    Color ids are comparable across the two graphs.  Initial colors come
-    from common-neighbor profiles on small graphs, degrees otherwise.
-    """
-    if g.order <= _PROFILE_MAX_ORDER:
-        gp, hp = _pair_profiles(g), _pair_profiles(h)
-        palette = {s: i for i, s in enumerate(sorted(set(gp) | set(hp)))}
-        gc = [palette[s] for s in gp]
-        hc = [palette[s] for s in hp]
-    else:
-        gc = g.degrees()
-        hc = h.degrees()
-    ncolors = len(set(gc) | set(hc))
-    while True:
-        gsig = [
-            (gc[v], tuple(sorted(gc[w] for w in iter_bits(g.row(v)))))
-            for v in range(g.order)
-        ]
-        hsig = [
-            (hc[v], tuple(sorted(hc[w] for w in iter_bits(h.row(v)))))
-            for v in range(h.order)
-        ]
-        palette = {s: i for i, s in enumerate(sorted(set(gsig) | set(hsig)))}
-        gc = [palette[s] for s in gsig]
-        hc = [palette[s] for s in hsig]
-        if len(palette) == ncolors:
-            return gc, hc
-        ncolors = len(palette)
+
+def _balanced(colours: np.ndarray, n: int) -> bool:
+    """Whether g's vertices (the first n) and h's have equal colour-class sizes."""
+    k = int(colours.max()) + 1
+    return np.array_equal(np.bincount(colours[:n], minlength=k), np.bincount(colours[n:], minlength=k))
+
+
+class _Joint:
+    """The arcs of g and h on one vertex set: g is 0..n-1, h is n..2n-1."""
+
+    def __init__(self, g: Graph, h: Graph):
+        self.n = n = g.order
+        step = max(1, _BLOCK_BITS // n)
+        src, dst = [], []
+        for offset, graph in ((0, g), (n, h)):
+            packed = graph.packed().view(np.uint8)
+            for lo in range(0, n, step):
+                bits = np.unpackbits(packed[lo : lo + step], axis=1, count=n, bitorder="little")
+                s, d = np.nonzero(bits)
+                src.append(s + (lo + offset))
+                dst.append(d + offset)
+        # sorted by source, then target
+        self.src = np.concatenate(src).astype(np.int64)
+        self.dst = np.concatenate(dst).astype(np.int64)
+        deg = np.bincount(self.src, minlength=2 * n)
+        self.width = 1 + int(deg.max(initial=0))
+        # column of each arc in its source's signature row
+        self.slot = np.arange(len(self.src)) - (np.cumsum(deg) - deg)[self.src] + 1
+
+    def refine(self, colours: np.ndarray) -> Optional[np.ndarray]:
+        """The coarsest equitable partition finer than `colours` (0..k-1),
+        renumbered 0..k'-1; None as soon as the two graphs' colour-class
+        sizes differ."""
+        count = int(colours.max()) + 1
+        while True:
+            # each vertex's own colour, then its neighbours' colours (plus
+            # one, after zero padding) sorted; same-coloured vertices have
+            # the same degree, so their rows align
+            keys = self.src * count + colours[self.dst]
+            keys.sort()
+            sig = np.zeros((2 * self.n, self.width), dtype=np.int64)
+            sig[:, 0] = colours
+            sig[self.src, self.slot] = keys % count + 1
+            new = _rank_rows(sig)
+            if not _balanced(new, self.n):
+                return None
+            k = int(new.max()) + 1
+            if k == count:
+                return new
+            colours, count = new, k
+
+    def children(self, colours: np.ndarray) -> Iterator[np.ndarray]:
+        """Refined colourings with the first g-vertex of the target class
+        individualized against each h-vertex of that class in turn."""
+        n = self.n
+        sizes = np.bincount(colours[:n])
+        target = int(np.argmin(np.where(sizes > 1, sizes, n + 1)))
+        v = int(np.flatnonzero(colours[:n] == target)[0])
+        for w in np.flatnonzero(colours[n:] == target):
+            split = colours.copy()
+            split[v] = split[n + w] = len(sizes)
+            refined = self.refine(split)
+            if refined is not None:
+                yield refined
+
+    def is_isomorphism(self, pi: np.ndarray) -> bool:
+        """Whether pi maps g's arcs exactly onto h's."""
+        n, in_g = self.n, self.src < self.n
+        mapped = np.sort(pi[self.src[in_g]] * n + pi[self.dst[in_g]])
+        return np.array_equal(mapped, (self.src[~in_g] - n) * n + self.dst[~in_g] - n)
 
 
 def are_isomorphic(g: Graph, h: Graph) -> Optional[list[int]]:
@@ -80,55 +147,27 @@ def are_isomorphic(g: Graph, h: Graph) -> Optional[list[int]]:
         return None
     if sorted(g.degrees()) != sorted(h.degrees()):
         return None
-
-    gc, hc = _refine_colors(g, h)
-    if Counter(gc) != Counter(hc):
+    colours = _initial_colours(g, h)
+    if not _balanced(colours, n):
+        return None
+    joint = _Joint(g, h)
+    root = joint.refine(colours)
+    if root is None:
         return None
 
-    by_color: dict[int, list[int]] = {}
-    for v in range(n):
-        by_color.setdefault(hc[v], []).append(v)
-
-    class_size = Counter(gc)
-    unmapped = sorted(range(n), key=lambda v: (class_size[gc[v]], gc[v], v))
-
-    mapping = [-1] * n
-    state = {"mapped_g": 0, "mapped_h": 0}
-
-    def pick() -> int:
-        # most already-mapped neighbors first; ties by static order
-        mg = state["mapped_g"]
-        best, best_key = -1, (-1, 0)
-        for rank, u in enumerate(unmapped):
-            if mapping[u] >= 0:
-                continue
-            key = ((g.row(u) & mg).bit_count(), -rank)
-            if key > best_key:
-                best, best_key = u, key
-        return best
-
-    def extend(depth: int) -> bool:
-        if depth == n:
-            return True
-        v = pick()
-        need = 0
-        for w in iter_bits(g.row(v) & state["mapped_g"]):
-            need |= 1 << mapping[w]
-        for cand in by_color[gc[v]]:
-            if (state["mapped_h"] >> cand) & 1:
-                continue
-            if h.row(cand) & state["mapped_h"] != need:
-                continue
-            mapping[v] = cand
-            state["mapped_g"] |= 1 << v
-            state["mapped_h"] |= 1 << cand
-            if extend(depth + 1):
-                return True
-            mapping[v] = -1
-            state["mapped_g"] &= ~(1 << v)
-            state["mapped_h"] &= ~(1 << cand)
-        return False
-
-    if extend(0):
-        return list(mapping)
+    # depth-first over individualizations, with an explicit stack so that
+    # deep searches (large symmetric graphs) need no recursion
+    stack = [iter([root])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+        elif int(node.max()) + 1 == n:
+            image = np.empty(n, dtype=np.int64)
+            image[node[n:]] = np.arange(n)
+            pi = image[node[:n]]
+            if joint.is_isomorphism(pi):
+                return pi.tolist()
+        else:
+            stack.append(joint.children(node))
     return None

@@ -311,27 +311,25 @@ def trial_seeds(seed: int, trials: int) -> list[int]:
     return [int(s) for s in _rng(seed).integers(0, 1 << 63, size=trials)]
 
 
+def trial_is_shattered(m: int, n: int, seed: int) -> bool:
+    """Whether random_matrix(m, n, seed) is shattered, from the same draws
+    but without building the BitMatrix or a witness; a matrix with fewer
+    than 3 rows or columns cannot exhibit all four pattern pairs and counts
+    as not shattered."""
+    if m < 3 or n < 3:
+        return False
+    return _shattered_verdict_array(_rng(seed).integers(0, 2, size=(m, n), dtype=np.uint8))
+
+
 def shattered_fraction(m: int, n: int, trials: int, seed: int) -> float:
     """Monte-Carlo estimate of the probability that a uniform m x n matrix
-    is shattered.  Deterministic given the seed.
-
-    Trial i draws the same entries as random_matrix(m, n, trial_seeds(seed,
-    trials)[i]); a matrix with fewer than 3 rows or columns cannot exhibit
-    all four pattern pairs and counts as not shattered.
-    """
+    is shattered: the share of trial_seeds(seed, trials) that pass
+    trial_is_shattered.  Deterministic given the seed."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if m < 1 or n < 1:
         raise ParameterError(f"matrix dimensions must be >= 1, got {m}x{n}")
-    seeds = trial_seeds(seed, trials)
-
-    def one(s: int) -> bool:
-        if m < 3 or n < 3:
-            return False
-        arr = _rng(s).integers(0, 2, size=(m, n), dtype=np.uint8)
-        return _shattered_verdict_array(arr)
-
-    return sum(one(s) for s in seeds) / trials
+    return sum(trial_is_shattered(m, n, s) for s in trial_seeds(seed, trials)) / trials
 
 
 # -- file formats ----------------------------------------------------------

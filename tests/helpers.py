@@ -244,3 +244,60 @@ def ref_decode_graph6_rows(data: bytes) -> list[int]:
                 rows[v] |= 1 << u
             bit += 1
     return rows
+
+
+def _ref_hamming_rows(dim: int, dists) -> list[int]:
+    """Bitset rows of the Cayley graph on Z_2^dim, x ~ y iff the Hamming
+    distance of x and y is in dists, pair by pair."""
+    return [
+        sum(1 << y for y in range(1 << dim) if bin(x ^ y).count("1") in dists)
+        for x in range(1 << dim)
+    ]
+
+
+def _ref_layer_rows(k: int) -> tuple[list[int], list[int]]:
+    dim = 3 * k - 1
+    within = {2 * k - 1} | set(range(2 * k + 1, dim + 1))
+    cross = set(range(2 * k, dim + 1))
+    return _ref_hamming_rows(dim, within), _ref_hamming_rows(dim, cross)
+
+
+def ref_hypercube_layers_rows(k: int, m: int) -> list[int]:
+    """Rows of hypercube_layers(k, m), assembled by shifting each layer's
+    within- or cross-layer row into place (the former construction)."""
+    block = 1 << (3 * k - 1)
+    wrows, crows = _ref_layer_rows(k)
+    return [
+        sum((wrows[x] if ip == i else crows[x]) << (ip * block) for ip in range(m))
+        for i in range(m)
+        for x in range(block)
+    ]
+
+
+def ref_twisted_tournament_hypercube_rows(t, m: int, k: int) -> list[int]:
+    """Rows of twisted_tournament_hypercube(t, m, k), assembled per vertex
+    (the former construction)."""
+    from ectf import twist
+
+    dim = 3 * k - 1
+    block = 1 << dim
+    wrows, crows = _ref_layer_rows(k)
+    # x in part i sees x' in part i' along an arc iff twist(x') is a
+    # cross-layer neighbour of x; against the arc, iff x'' is one of twist(x)
+    fwd = [sum(1 << xp for xp in range(block) if (crows[twist(xp, dim)] >> x) & 1) for x in range(block)]
+    bwd = [crows[twist(x, dim)] for x in range(block)]
+    pos = lambda i, j: (i * m + j) * block
+    rows = []
+    for i in range(t.order):
+        for j in range(m):
+            for x in range(block):
+                row = 0
+                for ip in range(t.order):
+                    for jp in range(m):
+                        if ip == i:
+                            part = wrows[x] if jp == j else crows[x]
+                        else:
+                            part = fwd[x] if t.dominates(i, ip) else bwd[x]
+                        row |= part << pos(ip, jp)
+                rows.append(row)
+    return rows

@@ -15,7 +15,14 @@ from ectf import (
     read_graph6_file,
 )
 from ectf.cli import main
-from ectf.shattered import read_matrix_file, read_tournament_file, write_matrix_file
+from ectf.shattered import (
+    random_matrix,
+    read_matrix_file,
+    read_tournament_file,
+    shattered_fraction,
+    trial_seeds,
+    write_matrix_file,
+)
 
 
 def write_g6(path, g):
@@ -235,6 +242,36 @@ class TestShatter:
     def test_bad_dims(self, capsys):
         code, _, _ = run(capsys, "shatter", "matrix", "--dims", "4by4", "--trials", "5", "--seed", "1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "m, n, trials",
+        # list path at 8x8, vectorized from 20x20 on; 32x32 has hits
+        [(3, 3, 50), (8, 8, 60), (20, 20, 40), (32, 32, 30)],
+    )
+    def test_matrix_fraction_matches_library(self, tmp_path, capsys, m, n, trials):
+        out = tmp_path / "hit.txt"
+        seed = 20260811
+        code, stdout, _ = run(
+            capsys, "shatter", "matrix", "--dims", f"{m}x{n}", "--trials", str(trials),
+            "--seed", str(seed), "--out", str(out), "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload["fraction"] == shattered_fraction(m, n, trials, seed)
+        # the first hit, as the witness-producing check finds it
+        first = next(
+            (s for s in trial_seeds(seed, trials) if is_shattered_matrix(random_matrix(m, n, s))[0]),
+            None,
+        )
+        assert payload["emitted_seed"] == first
+        assert out.exists() == (first is not None)
+        if first is not None:
+            assert read_matrix_file(out) == random_matrix(m, n, first)
+
+    def test_zero_trials_usage_error(self, capsys):
+        code, _, err = run(capsys, "shatter", "matrix", "--dims", "4x4", "--trials", "0", "--seed", "1")
+        assert code == 2
+        assert "trials" in err
 
 
 def test_entry_point_runs_as_module(tmp_path):

@@ -2,6 +2,7 @@
 
 from math import comb
 
+import numpy as np
 import pytest
 
 from ectf import (
@@ -19,6 +20,8 @@ from ectf import (
     hypercube_ckj,
     hypercube_layers,
     is_triangle_free,
+    random_matrix,
+    random_tournament,
     twist,
     twist_inv,
     twisted_four,
@@ -26,6 +29,8 @@ from ectf import (
     twisted_tournament_hypercube,
 )
 from ectf.shattered import BitMatrix
+
+from helpers import ref_hypercube_layers_rows, ref_twisted_tournament_hypercube_rows
 
 T4, T4P = canonical_tournaments()
 
@@ -339,3 +344,48 @@ def test_all_family_labels_sorted():
     for g in graphs:
         assert list(g.labels) == sorted(g.labels)
         assert len(set(g.labels)) == g.order
+
+
+# one member of each of the nine families, plus the layered constructions
+# at a second block size (4 and 256 vertices per copy)
+FAMILY_MEMBERS = {
+    "albert_cycles(6)": lambda: albert_cycles(6),
+    "albert_matrix(8x8)": lambda: albert_matrix(random_matrix(8, 8, 20260811)),
+    "erdos_hypercube(2)": lambda: erdos_hypercube(2),
+    "hypercube_ckj(2,1)": lambda: hypercube_ckj(2, 1),
+    "hypercube_layers(2,5)": lambda: hypercube_layers(2, 5),
+    "hypercube_layers(1,6)": lambda: hypercube_layers(1, 6),
+    "circular(13)": lambda: circular(13),
+    "twisted_four(2,3,2,4)": lambda: twisted_four(2, 3, 2, 4),
+    "twisted_tournament(t4',3)": lambda: twisted_tournament(T4P, 3),
+    "twisted_tournament_hypercube(t4',3,1)": lambda: twisted_tournament_hypercube(T4P, 3, 1),
+    "twisted_tournament_hypercube(t4,2,3)": lambda: twisted_tournament_hypercube(T4, 2, 3),
+}
+
+
+@pytest.mark.parametrize("k, m", [(1, 4), (1, 7), (2, 4), (2, 5)])
+def test_hypercube_layers_match_reference(k, m):
+    g = hypercube_layers(k, m)
+    assert list(g.rows) == ref_hypercube_layers_rows(k, m)
+    assert g.labels == tuple((i, x) for i in range(1, m + 1) for x in range(1 << (3 * k - 1)))
+
+
+@pytest.mark.parametrize(
+    "t, m, k",
+    [(T4, 2, 1), (T4P, 3, 1), (T4, 2, 2), (random_tournament(5, 20260811), 2, 1)],
+)
+def test_twisted_tournament_hypercube_matches_reference(t, m, k):
+    g = twisted_tournament_hypercube(t, m, k)
+    assert list(g.rows) == ref_twisted_tournament_hypercube_rows(t, m, k)
+    assert g.labels == tuple(
+        (i, j, x) for i in range(t.order) for j in range(1, m + 1) for x in range(1 << (3 * k - 1))
+    )
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_MEMBERS))
+def test_member_passes_graph_invariants(family):
+    """Constructors that skip validation still build symmetric, irreflexive
+    rows with distinct labels, and a packed view that matches the rows."""
+    g = FAMILY_MEMBERS[family]()
+    g._check_invariants()
+    assert np.array_equal(g.packed(), Graph(g.rows).packed())

@@ -1,7 +1,12 @@
-"""Isomorphism search: examples, bijection validation, determinism."""
+"""Isomorphism search: examples, bijection validation, determinism, and
+networkx as an independent oracle."""
 
+import time
+
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ectf import (
     DistanceSetSpec,
@@ -14,7 +19,7 @@ from ectf import (
 )
 from ectf.shattered import BitMatrix
 
-from helpers import MASTER_SEED, SHATTERED_8X8_SEEDS, random_maximal_triangle_free
+from helpers import MASTER_SEED, SHATTERED_8X8_SEEDS, random_graph, random_maximal_triangle_free
 
 
 def five_cycle():
@@ -95,3 +100,103 @@ def test_identity_matrix_graph_matches_cycles_construction():
     for n in (4, 5, 6):
         pi = are_isomorphic(albert_matrix(BitMatrix.identity(n)), albert_cycles(n))
         assert pi is not None
+
+
+def _networkx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.order))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def _agrees_with_networkx(g, h):
+    pi = are_isomorphic(g, h)
+    assert (pi is not None) == nx.is_isomorphic(_networkx(g), _networkx(h))
+    if pi is not None:
+        validate_bijection(g, h, pi)
+    return pi is not None
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_matches_networkx_on_seeded_pairs(n):
+    found = 0
+    for i in range(40):
+        seed = MASTER_SEED + 1000 * n + i
+        p = (0.2, 0.35, 0.5, 0.7)[i % 4]
+        g = random_graph(n, p, seed)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        # an independent draw (usually distinct), and a relabelled copy
+        found += _agrees_with_networkx(g, random_graph(n, p, seed + 500_000))
+        assert _agrees_with_networkx(g, g.relabel([int(x) for x in rng.permutation(n)]))
+    if n >= 6:
+        assert found < 40  # the corpus holds distinct pairs too
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(0, 24).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32),
+        st.permutations(range(n)),
+    )
+))
+def test_relabelled_copy_always_found(case):
+    n, p, seed, perm = case
+    g = random_graph(n, p, seed)
+    h = g.relabel(list(perm))
+    pi = are_isomorphic(g, h)
+    assert pi is not None
+    validate_bijection(g, h, pi)
+
+
+def _individualized_wl_hashes(g):
+    """networkx's Weisfeiler-Lehman hashes of g with each vertex marked in
+    turn, as a multiset: an isomorphism invariant finer than 1-WL."""
+    h = _networkx(g)
+    hashes = []
+    for v in h:
+        nx.set_node_attributes(h, {u: int(u == v) for u in h}, "mark")
+        hashes.append(nx.weisfeiler_lehman_graph_hash(h, node_attr="mark"))
+    return sorted(hashes)
+
+
+def test_frozen_8x8_pairs_match_networkx():
+    """All 190 pairs of the frozen 8x8 instances: regular 32-vertex graphs
+    on which networkx's exact VF2++ search takes over 2 s for most pairs.
+    A bijection is checked edge by edge; a 'distinct' answer must be
+    confirmed by differing networkx invariants."""
+    graphs = [albert_matrix(random_matrix(8, 8, s)) for s in SHATTERED_8X8_SEEDS]
+    start = time.perf_counter()
+    answers = {
+        (i, j): are_isomorphic(graphs[i], graphs[j])
+        for i in range(20)
+        for j in range(i + 1, 20)
+    }
+    elapsed = time.perf_counter() - start
+    invariants = [_individualized_wl_hashes(g) for g in graphs]
+    for (i, j), pi in answers.items():
+        if pi is None:
+            assert invariants[i] != invariants[j], (i, j)
+        else:
+            validate_bijection(graphs[i], graphs[j], pi)
+    # 21 isomorphic pairs: the ten classes of criterion 7
+    assert sum(pi is not None for pi in answers.values()) == 21
+    # a generous bound: the search takes about 0.1 s here
+    assert elapsed < 10, elapsed
+
+
+def test_pinned_pairs_match_networkx_exactly():
+    graphs = {i: albert_matrix(random_matrix(8, 8, SHATTERED_8X8_SEEDS[i])) for i in (1, 2, 3, 9)}
+    for a, b in ((1, 3), (2, 9)):
+        # VF2++: plain VF2 takes minutes on these regular graphs
+        assert nx.vf2pp_is_isomorphic(_networkx(graphs[a]), _networkx(graphs[b]))
+        pi = are_isomorphic(graphs[a], graphs[b])
+        assert pi is not None
+        validate_bijection(graphs[a], graphs[b], pi)
+
+
+def test_frozen_pair_01_09_distinct():
+    g = albert_matrix(random_matrix(8, 8, SHATTERED_8X8_SEEDS[1]))
+    h = albert_matrix(random_matrix(8, 8, SHATTERED_8X8_SEEDS[9]))
+    assert are_isomorphic(g, h) is None
