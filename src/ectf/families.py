@@ -9,7 +9,7 @@ inputs is deliberately not checked here; certification lives in `verify`.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .graphs import (
 )
 from .shattered import BitMatrix, Tournament, canonical_tournaments
 
-# unpacked adjacency bytes assembled at once by the layered constructions
+# packed adjacency bytes assembled at once by the layered constructions
 _BLOCK_BYTES = 1 << 22
 
 
@@ -136,18 +136,35 @@ def _copies_packed(parts: np.ndarray, copies: int, blocks: np.ndarray) -> np.nda
     """Packed adjacency (layout of `Graph.packed()`) of a graph made of
     parts, each of `copies` copies of one vertex set: a copy's rows against
     its own columns are the 0/1 block blocks[0], and against a copy in parts
-    i, i' (the same part or not) blocks[parts[i, i']]."""
+    i, i' (the same part or not) blocks[parts[i, i']].  The copy size is a
+    power of two of at least 4, so the runs below end on the last byte."""
     total, size = parts.shape[0] * copies, blocks.shape[1]
     n = total * size
-    part = np.arange(total) // copies
+    # `group` consecutive copies fill whole bytes: the blocks are packed once,
+    # `group` side by side per table entry, the all-zero kind `zero` padding
+    group, zero = max(1, 8 // size), blocks.shape[0]
+    blocks = np.concatenate([blocks, np.zeros_like(blocks[:1])])
+    runs = np.array(list(product(range(zero + 1), repeat=group)))
+    run_bytes = size * group // 8
+    table = blocks[runs].transpose(0, 2, 1, 3).reshape(len(runs), -1)
+    table = np.packbits(table, axis=1, bitorder="little").view(f"V{size * run_bytes}")[:, 0]
+    weight = (zero + 1) ** np.arange(group - 1, -1, -1)
+    # table entries of a row copy by its part, as if it met no copy of itself
+    kinds = np.full((len(parts), -(-total // group) * group), zero)
+    kinds[:, :total] = np.repeat(parts, copies, axis=1)
+    by_part = kinds.reshape(len(parts), -1, group) @ weight
+    width = by_part.shape[1] * run_bytes
     out = np.zeros((n, 8 * max(1, (n + 63) // 64)), dtype=np.uint8)
-    step = max(1, _BLOCK_BYTES // (size * n))
+    step = max(1, _BLOCK_BYTES // (size * width))
     for lo in range(0, total, step):
-        hi = min(total, lo + step)
-        kinds = parts[part[lo:hi, None], part]
-        kinds[np.arange(hi - lo), np.arange(lo, hi)] = 0
-        bits = blocks[kinds].transpose(0, 2, 1, 3).reshape((hi - lo) * size, n)
-        out[lo * size : hi * size, : (n + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+        copy = np.arange(lo, min(total, lo + step))
+        entry = by_part[copy // copies]
+        # a copy meets itself through blocks[0], not its part's own kind
+        own = parts[copy // copies, copy // copies]
+        entry[np.arange(len(copy)), copy // group] -= own * weight[copy % group]
+        rows = table[entry].view(np.uint8).reshape(len(copy), -1, size, run_bytes)
+        rows = rows.transpose(0, 2, 1, 3).reshape(len(copy) * size, width)
+        out[lo * size : lo * size + len(rows), :width] = rows
     return out.view("<u8")
 
 

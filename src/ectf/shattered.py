@@ -6,6 +6,12 @@ complement-pairs of 3-bit patterns.  A tournament is shattered when every
 vertex triple extends to one of the two 4-vertex tournaments in which each
 unordered vertex pair lies on exactly one directed 2-path.
 
+Every matrix check runs one kernel on rows packed into uint64 words: for
+rows a < b < c, x = r_a ^ r_b and y = r_a ^ r_c, and a column with pattern
+p shows the pair min(p, 7 - p) = 2x + y, so pairs 0..3 are present when
+~x & ~y, ~x & y, x & ~y and x & y are nonzero.  Triples are scanned in
+lexicographic order, a bounded block at a time, rows before columns.
+
 Randomness comes from a fixed, named 64-bit generator (PCG64) so that
 seeded instances are bit-identical across runs; trial seeds are derived
 from the master seed up front, which keeps Monte-Carlo results independent
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -161,20 +168,11 @@ def canonical_tournaments() -> tuple[Tournament, Tournament]:
 
 
 def _is_doubly_regular_4(t: Tournament, quad: tuple[int, int, int, int]) -> bool:
-    # exactly one directed 2-path (in either direction) per unordered pair;
-    # equivalent to being a copy of one of the two canonical tournaments
-    for u, w in combinations(quad, 2):
-        paths = 0
-        for z in quad:
-            if z == u or z == w:
-                continue
-            if t.dominates(u, z) and t.dominates(z, w):
-                paths += 1
-            if t.dominates(w, z) and t.dominates(z, u):
-                paths += 1
-        if paths != 1:
-            return False
-    return True
+    # one directed 2-path per unordered pair: a copy of a canonical
+    # tournament, scores (3,1,1,1) or (2,2,2,0), the only 4-tournament score
+    # sequences whose squares sum to 12 ((3,2,1,0) gives 14, (2,2,1,1) 10)
+    inside = (1 << quad[0]) | (1 << quad[1]) | (1 << quad[2]) | (1 << quad[3])
+    return sum((t.beats[v] & inside).bit_count() ** 2 for v in quad) == 12
 
 
 def is_shattered_tournament(
@@ -188,7 +186,7 @@ def is_shattered_tournament(
         raise ParameterError(f"tournament order {v} < 4")
     for triple in combinations(range(v), 3):
         if not any(
-            _is_doubly_regular_4(t, tuple(sorted(triple + (w,))))
+            _is_doubly_regular_4(t, triple + (w,))
             for w in range(v)
             if w not in triple
         ):
@@ -199,54 +197,49 @@ def is_shattered_tournament(
 ShatterWitness = tuple[str, tuple[int, int, int], tuple[tuple[int, ...], tuple[int, ...]]]
 
 
-_VECTOR_MIN_SIDE = 16
-
-_triple_index_cache: dict[int, np.ndarray] = {}
-
-
-def _triple_index(nrows: int) -> np.ndarray:
-    idx = _triple_index_cache.get(nrows)
-    if idx is None:
-        idx = np.array(list(combinations(range(nrows), 3)), dtype=np.intp)
-        _triple_index_cache[nrows] = idx
-    return idx
+# triple-scan words of x (and as many of y) per block
+_BLOCK_WORDS = 1 << 16
 
 
-def _all_triples_covered(mat: np.ndarray) -> bool:
-    """Vectorized verdict: every 3-row submatrix hits all four pattern pairs."""
-    sub = mat[_triple_index(mat.shape[0])]  # (triples, 3, width)
-    pat = (sub[:, 0] << 2) | (sub[:, 1] << 1) | sub[:, 2]
-    np.minimum(pat, 7 - pat, out=pat)
-    for c in range(4):
-        if not (pat == c).any(axis=1).all():
-            return False
-    return True
+@cache
+def _triple_index(nrows: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the triples a < b < c of nrows rows in lexicographic order, the
+    flat pair indices a * nrows + b and a * nrows + c."""
+    a, b, c = np.array(list(combinations(range(nrows), 3)), dtype=np.intp).reshape(-1, 3).T
+    return a * nrows + b, a * nrows + c
 
 
-def _rows_covered_lists(mat: list[list[int]]) -> bool:
-    """Early-exit verdict over row triples of a small list-of-lists matrix."""
-    width = len(mat[0])
-    for r1, r2, r3 in combinations(mat, 3):
-        seen = 0
-        for c in range(width):
-            p = r1[c] << 2 | r2[c] << 1 | r3[c]
-            seen |= 1 << min(p, 7 - p)
-            if seen == 0b1111:
-                break
-        if seen != 0b1111:
-            return False
-    return True
-
-
-def _shattered_verdict_array(arr: np.ndarray) -> bool:
-    """Verdict only, on a uint8 array; picks the batched or early-exit path."""
-    if min(arr.shape) >= _VECTOR_MIN_SIDE:
-        return _all_triples_covered(arr) and _all_triples_covered(
-            np.ascontiguousarray(arr.T)
-        )
-    rows = arr.tolist()
-    cols = arr.T.tolist()
-    return _rows_covered_lists(rows) and _rows_covered_lists(cols)
+def _first_uncovered(arr: np.ndarray) -> Optional[tuple[str, tuple[int, int, int], int]]:
+    """("rows"|"cols", triple, smallest missing pair index) for the first
+    triple of rows, then of columns, of the 0/1 array arr in lexicographic
+    order that misses a pattern pair; None when arr is shattered."""
+    for axis, mat in (("rows", arr), ("cols", arr.T)):
+        nrows, ncols = mat.shape
+        words = -(-ncols // 64)
+        # padding columns repeat the last one, so they show no new pattern
+        mat = mat[:, np.minimum(np.arange(64 * words), ncols - 1)]
+        packed = np.packbits(mat, axis=1, bitorder="little")
+        cols = np.ascontiguousarray(packed).view("<u8").T
+        # word w of r_a ^ r_b at diff[w, a * nrows + b]
+        diff = (cols[:, :, None] ^ cols[:, None, :]).reshape(words, -1)
+        ab, ac = _triple_index(nrows)
+        step = max(1, _BLOCK_WORDS // words)
+        for lo in range(0, len(ab), step):
+            i, j = ab[lo : lo + step], ac[lo : lo + step]
+            present = np.zeros((4, len(i)), dtype=bool)
+            for w in range(words):
+                x, y = diff[w].take(i), diff[w].take(j)
+                u = x | y
+                present[0] |= u != 2**64 - 1  # ~x & ~y
+                present[1] |= u != x  # ~x & y
+                present[2] |= u != y  # x & ~y
+                present[3] |= (x & y) != 0
+            covered = present.all(axis=0)
+            if not covered.all():
+                t = int(covered.argmin())
+                a, b = divmod(int(i[t]), nrows)
+                return axis, (a, b, int(j[t]) % nrows), int(present[:, t].argmin())
+    return None
 
 
 def is_shattered_matrix(m: BitMatrix) -> tuple[bool, Optional[ShatterWitness]]:
@@ -261,24 +254,11 @@ def is_shattered_matrix(m: BitMatrix) -> tuple[bool, Optional[ShatterWitness]]:
         raise ParameterError(
             f"shattered check needs at least 3 rows and 3 columns, got {m.nrows}x{m.ncols}"
         )
-    if min(m.nrows, m.ncols) >= _VECTOR_MIN_SIDE:
-        # batched verdict first; fall through for the witness only on failure
-        if _shattered_verdict_array(np.array(m.bits, dtype=np.uint8)):
-            return True, None
-    for axis, mat in (("rows", m.bits), ("cols", m.transpose().bits)):
-        width = len(mat[0])
-        for triple in combinations(range(len(mat)), 3):
-            r1, r2, r3 = (mat[i] for i in triple)
-            seen = 0
-            for c in range(width):
-                p = r1[c] << 2 | r2[c] << 1 | r3[c]
-                seen |= 1 << min(p, 7 - p)
-                if seen == 0b1111:
-                    break
-            if seen != 0b1111:
-                missing = next(k for k in range(4) if not (seen >> k) & 1)
-                return False, (axis, triple, PATTERN_PAIRS[missing])
-    return True, None
+    hit = _first_uncovered(np.array(m.bits, dtype=np.uint8))
+    if hit is None:
+        return True, None
+    axis, triple, missing = hit
+    return False, (axis, triple, PATTERN_PAIRS[missing])
 
 
 def random_matrix(m: int, n: int, seed: int) -> BitMatrix:
@@ -313,12 +293,12 @@ def trial_seeds(seed: int, trials: int) -> list[int]:
 
 def trial_is_shattered(m: int, n: int, seed: int) -> bool:
     """Whether random_matrix(m, n, seed) is shattered, from the same draws
-    but without building the BitMatrix or a witness; a matrix with fewer
-    than 3 rows or columns cannot exhibit all four pattern pairs and counts
-    as not shattered."""
+    but without building the BitMatrix; a matrix with fewer than 3 rows or
+    columns cannot exhibit all four pattern pairs and counts as not
+    shattered."""
     if m < 3 or n < 3:
         return False
-    return _shattered_verdict_array(_rng(seed).integers(0, 2, size=(m, n), dtype=np.uint8))
+    return _first_uncovered(_rng(seed).integers(0, 2, size=(m, n), dtype=np.uint8)) is None
 
 
 def shattered_fraction(m: int, n: int, trials: int, seed: int) -> float:

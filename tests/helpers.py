@@ -301,3 +301,40 @@ def ref_twisted_tournament_hypercube_rows(t, m: int, k: int) -> list[int]:
                         row |= part << pos(ip, jp)
                 rows.append(row)
     return rows
+
+
+def ref_shattered_witness(m):
+    """is_shattered_matrix(m) by the former pure-Python scan: rows before
+    columns, triples in lexicographic order, each column's pattern p folded
+    to min(p, 7 - p); the witness names the smallest missing pair."""
+    for axis, mat in (("rows", m.bits), ("cols", tuple(zip(*m.bits)))):
+        width = len(mat[0])
+        for triple in combinations(range(len(mat)), 3):
+            r1, r2, r3 = (mat[i] for i in triple)
+            seen = 0
+            for c in range(width):
+                p = r1[c] << 2 | r2[c] << 1 | r3[c]
+                seen |= 1 << min(p, 7 - p)
+                if seen == 0b1111:
+                    break
+            if seen != 0b1111:
+                k = next(k for k in range(4) if not (seen >> k) & 1)
+                pattern = tuple((k >> b) & 1 for b in (2, 1, 0))
+                return False, (axis, triple, (pattern, tuple(1 - x for x in pattern)))
+    return True, None
+
+
+def ref_one_two_path_per_pair(t, quad) -> bool:
+    """Whether every unordered pair of quad lies on exactly one directed
+    2-path (in either direction) inside quad: the defining property of the
+    two canonical 4-tournaments, counted path by path."""
+    for u, w in combinations(quad, 2):
+        paths = 0
+        for z in quad:
+            if z in (u, w):
+                continue
+            paths += t.dominates(u, z) and t.dominates(z, w)
+            paths += t.dominates(w, z) and t.dominates(z, u)
+        if paths != 1:
+            return False
+    return True

@@ -28,6 +28,7 @@ from ectf import (
     twisted_tournament,
     twisted_tournament_hypercube,
 )
+from ectf import families
 from ectf.shattered import BitMatrix
 
 from helpers import ref_hypercube_layers_rows, ref_twisted_tournament_hypercube_rows
@@ -368,6 +369,25 @@ def test_hypercube_layers_match_reference(k, m):
     g = hypercube_layers(k, m)
     assert list(g.rows) == ref_hypercube_layers_rows(k, m)
     assert g.labels == tuple((i, x) for i in range(1, m + 1) for x in range(1 << (3 * k - 1)))
+
+
+@pytest.mark.parametrize("m", [5, 9, 64, 129])
+def test_hypercube_layers_four_per_copy_match_reference(m):
+    # 4 vertices per copy: two copies share each packed byte, and an odd m
+    # leaves the last byte half filled
+    g = hypercube_layers(1, m)
+    assert list(g.rows) == ref_hypercube_layers_rows(1, m)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 100, 1 << 22])
+def test_copies_block_layout_does_not_change_rows(monkeypatch, block_bytes):
+    monkeypatch.setattr(families, "_BLOCK_BYTES", block_bytes)
+    assert list(hypercube_layers(1, 33).rows) == ref_hypercube_layers_rows(1, 33)
+    assert list(hypercube_layers(2, 5).rows) == ref_hypercube_layers_rows(2, 5)
+    t = random_tournament(5, 20260811)
+    assert list(twisted_tournament_hypercube(t, 3, 1).rows) == (
+        ref_twisted_tournament_hypercube_rows(t, 3, 1)
+    )
 
 
 @pytest.mark.parametrize(

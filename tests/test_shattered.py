@@ -1,5 +1,6 @@
 """Shattered matrices and tournaments: checks, witnesses, randomness, files."""
 
+from functools import cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -16,6 +17,7 @@ from ectf import (
     random_tournament,
     shattered_fraction,
 )
+from ectf import shattered
 from ectf.shattered import (
     matrix_from_text,
     matrix_to_text,
@@ -28,7 +30,12 @@ from ectf.shattered import (
     write_tournament_file,
 )
 
-from helpers import MASTER_SEED
+from helpers import (
+    MASTER_SEED,
+    SHATTERED_8X8_SEEDS,
+    ref_one_two_path_per_pair,
+    ref_shattered_witness,
+)
 
 T4, T4P = canonical_tournaments()
 
@@ -119,6 +126,99 @@ class TestShatteredMatrix:
             assert is_shattered_matrix(shuffled)[0] == base
 
 
+def _late_failures(m: BitMatrix) -> list[BitMatrix]:
+    """Edits of a shattered m whose first uncovered triple lies late: the
+    last row made a copy or the complement of the one before it (the first
+    failure is (0, m-2, m-1), missing pair 1 or 0), the last row set to
+    r ^ (~(r ^ s) & z) from the two before it and another row z (pair 3
+    missing there), and the same edits on the columns, met only after every
+    row triple has been scanned."""
+    out = []
+    for edit_cols in (False, True):
+        rows = [list(r) for r in (m.transpose() if edit_cols else m).bits]
+        r, s, z = rows[-3], rows[-2], rows[1]
+        for last in (
+            list(s),
+            [1 - x for x in s],
+            [a ^ ((1 - (a ^ b)) & c) for a, b, c in zip(r, s, z)],
+        ):
+            edited = BitMatrix(tuple(map(tuple, rows[:-1] + [last])))
+            out.append(edited.transpose() if edit_cols else edited)
+    return out
+
+
+@cache
+def _kernel_corpus() -> list[BitMatrix]:
+    """Seeded matrices: every square side 3..20, the sides 15/16/17 mixed,
+    non-square shapes and 63/64/65/130 columns or rows (several words per
+    packed row), the frozen shattered 8x8 seeds, shattered 32x32, 64x64 and
+    65x66 draws, and late-failing edits of shattered matrices."""
+    shapes = [(n, n) for n in range(3, 21)]
+    shapes += [(a, b) for a in (15, 16, 17) for b in (15, 16, 17) if a != b]
+    shapes += [(3, 9), (9, 3), (4, 12), (12, 5), (7, 20), (20, 6)]
+    shapes += [(r, w) for w in (63, 64, 65, 130) for r in (5, 20)]
+    shapes += [(w, 20) for w in (63, 64, 65, 130)]
+    corpus = [
+        random_matrix(m, n, s)
+        for k, (m, n) in enumerate(shapes)
+        for s in trial_seeds(MASTER_SEED + 100 + k, 4)
+    ]
+    hits = [random_matrix(8, 8, s) for s in SHATTERED_8X8_SEEDS[:6]]
+    hits.append(next(
+        m for m in (random_matrix(32, 32, s) for s in trial_seeds(MASTER_SEED, 100))
+        if ref_shattered_witness(m)[0]
+    ))
+    hits += [random_matrix(64, 64, MASTER_SEED), random_matrix(65, 66, MASTER_SEED)]
+    corpus += hits
+    for m in hits:
+        corpus += _late_failures(m)
+    return corpus
+
+
+@cache
+def _reference() -> list:
+    return [ref_shattered_witness(m) for m in _kernel_corpus()]
+
+
+class TestShatteredKernel:
+    """The packed-word triple kernel against the former pure-Python scan
+    and the direct restatement of the definition."""
+
+    def test_witness_matches_reference_scan(self):
+        for m, expected in zip(_kernel_corpus(), _reference()):
+            assert is_shattered_matrix(m) == expected, m.bits
+
+    def test_verdict_matches_oracle(self):
+        for m in _kernel_corpus():
+            if m.nrows * m.ncols <= 20 * 130:
+                assert is_shattered_matrix(m)[0] == _oracle_shattered(m), m.bits
+
+    def test_corpus_reaches_every_outcome(self):
+        failures = [(m, w) for m, (ok, w) in zip(_kernel_corpus(), _reference()) if not ok]
+        assert len(_kernel_corpus()) - len(failures) >= 9
+        assert {axis for _, (axis, _, _) in failures} == {"rows", "cols"}
+        assert {shattered.PATTERN_PAIRS.index(p) for _, (_, _, p) in failures} == {0, 1, 2, 3}
+        # late: a row failure past the first 1800 triples of a 64-row
+        # matrix, and column failures after all of its row triples passed
+        assert any(m.nrows >= 64 and t[1] >= 62 for m, (axis, t, _) in failures if axis == "rows")
+        assert any(m.nrows >= 64 for m, (axis, _, _) in failures if axis == "cols")
+        assert {m.ncols for m in _kernel_corpus()} >= {63, 64, 65, 130}
+
+    def test_trial_verdict_matches_matrix_check(self):
+        for m, n in ((3, 3), (4, 4), (5, 130), (17, 16), (32, 32), (65, 20)):
+            for s in trial_seeds(MASTER_SEED + m * n, 8):
+                expected = ref_shattered_witness(random_matrix(m, n, s))[0]
+                assert shattered.trial_is_shattered(m, n, s) == expected
+
+    @pytest.mark.parametrize("budget", [1, 97, 1 << 16])
+    def test_block_budget_does_not_change_witness(self, monkeypatch, budget):
+        # one triple per block is slow on the 64-row matrices: up to 32x32
+        monkeypatch.setattr(shattered, "_BLOCK_WORDS", budget)
+        for m, expected in zip(_kernel_corpus(), _reference()):
+            if budget > 1 or m.nrows * m.ncols <= 32 * 32:
+                assert is_shattered_matrix(m) == expected, m.bits
+
+
 def _oracle_shattered(m: BitMatrix) -> bool:
     # direct restatement: every 3 rows and 3 columns exhibit all four
     # complement-pairs of patterns among their columns/rows
@@ -202,6 +302,25 @@ class TestCanonicalTournaments:
             )
             assert _is_doubly_regular_4(t, (0, 1, 2, 3)) == is_copy
 
+    def test_score_test_matches_two_path_count(self):
+        # a 4-set qualifies exactly when its squared in-quad scores sum to
+        # 12; checked against the 2-path count on all 64 labelled
+        # 4-tournaments and every order of the quad
+        qualifying = 0
+        for bits in range(64):
+            arcs = []
+            idx = 0
+            for i in range(4):
+                for j in range(i + 1, 4):
+                    arcs.append((i, j) if (bits >> idx) & 1 else (j, i))
+                    idx += 1
+            t = Tournament.from_arcs(4, arcs)
+            expected = ref_one_two_path_per_pair(t, (0, 1, 2, 3))
+            qualifying += expected
+            for quad in permutations(range(4)):
+                assert shattered._is_doubly_regular_4(t, quad) == expected
+        assert qualifying == 16
+
 
 class TestShatteredTournament:
     def test_canonical_pair_shattered(self):
@@ -217,6 +336,24 @@ class TestShatteredTournament:
     def test_rejects_small(self):
         with pytest.raises(ParameterError):
             is_shattered_tournament(random_tournament(3, 1))
+
+    def test_matches_two_path_reference(self):
+        for v in (4, 5, 6, 7, 8):
+            for s in trial_seeds(MASTER_SEED + 7 + v, 60):
+                t = random_tournament(v, s)
+                expected = next(
+                    (
+                        (False, triple)
+                        for triple in combinations(range(v), 3)
+                        if not any(
+                            ref_one_two_path_per_pair(t, tuple(sorted(triple + (w,))))
+                            for w in range(v)
+                            if w not in triple
+                        )
+                    ),
+                    (True, None),
+                )
+                assert is_shattered_tournament(t) == expected
 
     def test_reversal_invariance(self):
         for s in trial_seeds(MASTER_SEED + 5, 80):
