@@ -9,23 +9,31 @@ inputs is deliberately not checked here; certification lives in `verify`.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
 from .graphs import (
-    MAX_VERTICES,
-    CapacityError,
     DistanceSetSpec,
     Graph,
     ParameterError,
     build_cayley,
+    check_capacity,
     hamming_packed,
+    pack_blocks,
+    unpack_rows,
 )
 from .shattered import BitMatrix, Tournament, canonical_tournaments
 
 # packed adjacency bytes assembled at once by the layered constructions
 _BLOCK_BYTES = 1 << 22
+
+# 0/1 blocks between Z_4 copies, x ~ y iff y - x mod 4 is: 1 or 3 inside a
+# copy (the 4-cycle), 2 across copies of one part (the antipode), 3 along
+# an arc and 1 against it
+_Z4_BLOCKS = np.stack(
+    [np.isin((np.arange(4) - np.arange(4)[:, None]) % 4, d) for d in ((1, 3), 2, 3, 1)]
+).astype(np.uint8)
 
 
 def albert_cycles(n: int) -> Graph:
@@ -33,15 +41,10 @@ def albert_cycles(n: int) -> Graph:
     antipode of every other cycle; (n+1)-regular on 4n vertices."""
     if n < 4:
         raise ParameterError(f"albert_cycles needs n >= 4, got {n}")
+    check_capacity(4 * n, f"4 * {n} = {4 * n}")
     labels = [(i, x) for i in range(1, n + 1) for x in range(4)]
-    idx = lambda i, x: (i - 1) * 4 + x % 4
-    edges = []
-    for i in range(1, n + 1):
-        for x in range(4):
-            edges.append((idx(i, x), idx(i, x + 1)))
-            for ip in range(i + 1, n + 1):
-                edges.append((idx(i, x), idx(ip, x + 2)))
-    return Graph.from_edges(4 * n, set(map(lambda e: tuple(sorted(e)), edges)), labels)
+    packed = _copies_packed(np.ones((1, 1), dtype=np.intp), [n], _Z4_BLOCKS)
+    return Graph._from_packed(packed, labels)
 
 
 def albert_matrix(m: BitMatrix) -> Graph:
@@ -52,30 +55,22 @@ def albert_matrix(m: BitMatrix) -> Graph:
         raise ParameterError(
             f"albert_matrix needs at least a 4x4 matrix, got {nr}x{nc}"
         )
+    check_capacity(2 * nr + 2 * nc, f"graph on {2 * nr + 2 * nc}")
     labels = (
         [("a", i) for i in range(1, nr + 1)]
         + [("b", i) for i in range(1, nr + 1)]
         + [("c", j) for j in range(1, nc + 1)]
         + [("d", j) for j in range(1, nc + 1)]
     )
-    a = lambda i: i
-    b = lambda i: nr + i
-    c = lambda j: 2 * nr + j
-    d = lambda j: 2 * nr + nc + j
-    edges = []
-    for i in range(nr):
-        edges.append((a(i), b(i)))
-    for j in range(nc):
-        edges.append((c(j), d(j)))
-    for i in range(nr):
-        for j in range(nc):
-            if m.bits[i][j]:
-                edges.append((a(i), c(j)))
-                edges.append((b(i), d(j)))
-            else:
-                edges.append((a(i), d(j)))
-                edges.append((b(i), c(j)))
-    return Graph.from_edges(2 * nr + 2 * nc, edges, labels)
+    one = np.array(m.bits, dtype=bool)
+    swap = np.array([[0, 1], [1, 0]], dtype=bool)
+    # rows a, b against columns c, d
+    cross = np.block([[one, ~one], [~one, one]])
+    adj = np.block([
+        [np.kron(swap, np.eye(nr, dtype=bool)), cross],
+        [cross.T, np.kron(swap, np.eye(nc, dtype=bool))],
+    ])
+    return Graph._from_packed(pack_blocks(len(adj), lambda lo, hi: adj[lo:hi]), labels)
 
 
 def erdos_hypercube(k: int) -> Graph:
@@ -107,14 +102,9 @@ def hypercube_layers(k: int, m: int) -> Graph:
         raise ParameterError(f"hypercube_layers needs m >= 4, got {m}")
     dim = 3 * k - 1
     block = 1 << dim
-    order = m * block
-    if order > MAX_VERTICES:
-        raise CapacityError(
-            f"{m} * 2^{dim} = {order} vertices exceeds the representation "
-            f"limit of {MAX_VERTICES} (= 2^15) vertices"
-        )
+    check_capacity(m * block, f"{m} * 2^{dim} = {m * block}")
     labels = [(i, x) for i in range(1, m + 1) for x in range(block)]
-    packed = _copies_packed(np.ones((1, 1), dtype=np.intp), m, np.stack(_layer_blocks(k)))
+    packed = _copies_packed(np.ones((1, 1), dtype=np.intp), [m], np.stack(_layer_blocks(k)))
     return Graph._from_packed(packed, labels)
 
 
@@ -124,21 +114,18 @@ def _layer_blocks(k: int) -> tuple[np.ndarray, np.ndarray]:
     dim = 3 * k - 1
     within = {2 * k - 1} | set(range(2 * k + 1, dim + 1))
     cross = set(range(2 * k, dim + 1))
-    return tuple(
-        np.unpackbits(
-            hamming_packed(dim, dists).view(np.uint8), axis=1, count=1 << dim, bitorder="little"
-        )
-        for dists in (within, cross)
-    )
+    return tuple(unpack_rows(hamming_packed(dim, dists), 1 << dim) for dists in (within, cross))
 
 
-def _copies_packed(parts: np.ndarray, copies: int, blocks: np.ndarray) -> np.ndarray:
+def _copies_packed(parts: np.ndarray, copies: list[int], blocks: np.ndarray) -> np.ndarray:
     """Packed adjacency (layout of `Graph.packed()`) of a graph made of
-    parts, each of `copies` copies of one vertex set: a copy's rows against
-    its own columns are the 0/1 block blocks[0], and against a copy in parts
-    i, i' (the same part or not) blocks[parts[i, i']].  The copy size is a
-    power of two of at least 4, so the runs below end on the last byte."""
-    total, size = parts.shape[0] * copies, blocks.shape[1]
+    parts, part i of copies[i] copies of one vertex set: a copy's rows
+    against its own columns are the 0/1 block blocks[0], and against a copy
+    in parts i, i' (the same part or not) blocks[parts[i, i']].  The copy
+    size is a power of two of at least 4, so the runs below end on the last
+    byte."""
+    part = np.repeat(np.arange(len(parts)), copies)  # the part of each copy
+    total, size = len(part), blocks.shape[1]
     n = total * size
     # `group` consecutive copies fill whole bytes: the blocks are packed once,
     # `group` side by side per table entry, the all-zero kind `zero` padding
@@ -151,16 +138,16 @@ def _copies_packed(parts: np.ndarray, copies: int, blocks: np.ndarray) -> np.nda
     weight = (zero + 1) ** np.arange(group - 1, -1, -1)
     # table entries of a row copy by its part, as if it met no copy of itself
     kinds = np.full((len(parts), -(-total // group) * group), zero)
-    kinds[:, :total] = np.repeat(parts, copies, axis=1)
+    kinds[:, :total] = parts[:, part]
     by_part = kinds.reshape(len(parts), -1, group) @ weight
     width = by_part.shape[1] * run_bytes
     out = np.zeros((n, 8 * max(1, (n + 63) // 64)), dtype=np.uint8)
     step = max(1, _BLOCK_BYTES // (size * width))
     for lo in range(0, total, step):
         copy = np.arange(lo, min(total, lo + step))
-        entry = by_part[copy // copies]
+        entry = by_part[part[copy]]
         # a copy meets itself through blocks[0], not its part's own kind
-        own = parts[copy // copies, copy // copies]
+        own = parts[part[copy], part[copy]]
         entry[np.arange(len(copy)), copy // group] -= own * weight[copy % group]
         rows = table[entry].view(np.uint8).reshape(len(copy), -1, size, run_bytes)
         rows = rows.transpose(0, 2, 1, 3).reshape(len(copy) * size, width)
@@ -173,11 +160,15 @@ def circular(n: int) -> Graph:
     if n < 1:
         raise ParameterError(f"circular needs n >= 1, got {n}")
     size = 3 * n - 1
-    edges = []
-    for t, s in combinations(range(size), 2):
-        if (s - t) % size >= n and (t - s) % size >= n:
-            edges.append((t, s))
-    return Graph.from_edges(size, edges, [(t,) for t in range(size)])
+    check_capacity(size, f"3 * {n} - 1 = {size}")
+    ids = np.arange(size)
+
+    def disjoint(lo: int, hi: int) -> np.ndarray:
+        # arcs t.. and s.. are disjoint iff s - t mod 3n-1 lies in n .. 2n-1
+        diff = (ids - ids[lo:hi, None]) % size
+        return (diff >= n) & (diff < 2 * n)
+
+    return Graph._from_packed(pack_blocks(size, disjoint), [(t,) for t in range(size)])
 
 
 def twist(x: int, dim: int) -> int:
@@ -199,36 +190,29 @@ def twist_inv(y: int, dim: int) -> int:
     return (y & ~3) | (((y >> 1) & 1) ^ 1) | ((y & 1) << 1)
 
 
-def _twisted_z4(sizes: list[int], arcs: set[tuple[int, int]]) -> Graph:
+def _twisted_z4(t: Tournament, sizes: list[int]) -> Graph:
     """Shared builder for the Z_4-based twisted graphs.
 
-    Vertices (i, j, x) with i a part, 1 <= j <= sizes[i], x in Z_4; edges
-    x ~ x+1 inside a 4-cycle, x ~ x+2 across copies of the same part, and
-    x ~ x+3 from part i to part i' whenever (i, i') is an arc.
+    Vertices (i, j, x) with i a vertex of t, 1 <= j <= sizes[i], x in Z_4;
+    edges x ~ x+1 inside a 4-cycle, x ~ x+2 across copies of the same part,
+    and x ~ x+3 from part i to part i' whenever i -> i' is an arc.
     """
-    nparts = len(sizes)
-    offsets = []
-    total = 0
-    for s in sizes:
-        offsets.append(total)
-        total += 4 * s
-    idx = lambda i, j, x: offsets[i] + (j - 1) * 4 + x % 4
+    order = 4 * sum(sizes)
+    check_capacity(order, f"4 * {sum(sizes)} = {order}")
     labels = [
-        (i, j, x) for i in range(nparts) for j in range(1, sizes[i] + 1) for x in range(4)
+        (i, j, x) for i in range(len(sizes)) for j in range(1, sizes[i] + 1) for x in range(4)
     ]
-    edges = []
-    for i in range(nparts):
-        for j in range(1, sizes[i] + 1):
-            for x in range(4):
-                edges.append((idx(i, j, x), idx(i, j, x + 1)))
-                for jp in range(j + 1, sizes[i] + 1):
-                    edges.append((idx(i, j, x), idx(i, jp, x + 2)))
-    for i, ip in arcs:
-        for j in range(1, sizes[i] + 1):
-            for jp in range(1, sizes[ip] + 1):
-                for x in range(4):
-                    edges.append((idx(i, j, x), idx(ip, jp, x + 3)))
-    return Graph.from_edges(total, set(map(lambda e: tuple(sorted(e)), edges)), labels)
+    return Graph._from_packed(_copies_packed(_arc_kinds(t), sizes, _Z4_BLOCKS), labels)
+
+
+def _arc_kinds(t: Tournament) -> np.ndarray:
+    """Block kind between parts i and i' of a twisted graph: 1 inside a
+    part, 2 along an arc i -> i', 3 against it."""
+    return np.array(
+        [[1 if i == ip else 2 if t.dominates(i, ip) else 3 for ip in range(t.order)]
+         for i in range(t.order)],
+        dtype=np.intp,
+    )
 
 
 def twisted_four(m0: int, m1: int, m2: int, m3: int) -> Graph:
@@ -240,8 +224,7 @@ def twisted_four(m0: int, m1: int, m2: int, m3: int) -> Graph:
             raise ParameterError(
                 f"twisted_four needs every part size >= 2, got {tuple(sizes)}"
             )
-    t4, _ = canonical_tournaments()
-    return _twisted_z4(sizes, set(t4.arcs()))
+    return _twisted_z4(canonical_tournaments()[0], sizes)
 
 
 def twisted_tournament(t: Tournament, m: int) -> Graph:
@@ -250,7 +233,7 @@ def twisted_tournament(t: Tournament, m: int) -> Graph:
         raise ParameterError(f"twisted_tournament needs m >= 2, got {m}")
     if t.order < 4:
         raise ParameterError(f"twisted_tournament needs |T| >= 4, got {t.order}")
-    return _twisted_z4([m] * t.order, set(t.arcs()))
+    return _twisted_z4(t, [m] * t.order)
 
 
 def twisted_tournament_hypercube(t: Tournament, m: int, k: int) -> Graph:
@@ -267,22 +250,12 @@ def twisted_tournament_hypercube(t: Tournament, m: int, k: int) -> Graph:
     dim = 3 * k - 1
     block = 1 << dim
     order = t.order * m * block
-    if order > MAX_VERTICES:
-        raise CapacityError(
-            f"{t.order} * {m} * 2^{dim} = {order} vertices exceeds the "
-            f"representation limit of {MAX_VERTICES} (= 2^15) vertices"
-        )
+    check_capacity(order, f"{t.order} * {m} * 2^{dim} = {order}")
     within, cross = _layer_blocks(k)
     # cross-part rule for an arc i -> i': x in part i sees x' with
     # hamming(x, twist(x')) in the cross distances; the arc's reverse sees
     # the transpose
     tw = [twist(x, dim) for x in range(block)]
     blocks = np.stack([within, cross, cross[:, tw], cross[tw, :]])
-    # blocks between parts: cross within a part, then along or against an arc
-    parts = np.array(
-        [[1 if i == ip else 2 if t.dominates(i, ip) else 3 for ip in range(t.order)]
-         for i in range(t.order)],
-        dtype=np.intp,
-    )
     labels = [(i, j, x) for i in range(t.order) for j in range(1, m + 1) for x in range(block)]
-    return Graph._from_packed(_copies_packed(parts, m, blocks), labels)
+    return Graph._from_packed(_copies_packed(_arc_kinds(t), [m] * t.order, blocks), labels)

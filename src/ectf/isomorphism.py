@@ -27,7 +27,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, unpack_rows
 
 _PROFILE_MAX_ORDER = 600
 
@@ -43,8 +43,7 @@ def _initial_colours(g: Graph, h: Graph) -> np.ndarray:
         return _rank_rows(np.array(g.degrees() + h.degrees())[:, None])
     profiles = []
     for graph in (g, h):
-        m = np.unpackbits(graph.packed().view(np.uint8), axis=1, count=n, bitorder="little")
-        m = m.astype(np.float32)
+        m = unpack_rows(graph.packed(), n).astype(np.float32)
         # exact: every count is at most n < 2^24; the diagonal holds the degree
         common = (m @ m).astype(np.int64)
         others = np.sort(common[~np.eye(n, dtype=bool)].reshape(n, n - 1), axis=1)
@@ -76,10 +75,8 @@ class _Joint:
         step = max(1, _BLOCK_BITS // n)
         src, dst = [], []
         for offset, graph in ((0, g), (n, h)):
-            packed = graph.packed().view(np.uint8)
             for lo in range(0, n, step):
-                bits = np.unpackbits(packed[lo : lo + step], axis=1, count=n, bitorder="little")
-                s, d = np.nonzero(bits)
+                s, d = np.nonzero(unpack_rows(graph.packed()[lo : lo + step], n))
                 src.append(s + (lo + offset))
                 dst.append(d + offset)
         # sorted by source, then target

@@ -27,7 +27,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .families import circular
-from .graphs import Graph, ParameterError, iter_bits
+from .graphs import Graph, ParameterError, iter_bits, unpack_rows
 from .isomorphism import are_isomorphic
 
 # float32 elements in one working block of the count kernel (4 MiB)
@@ -105,10 +105,7 @@ class _Counts:
 
     def _unpack(self, index, start: int) -> np.ndarray:
         word = start >> 6
-        words = np.ascontiguousarray(self.graph.packed()[index, word:])
-        bits = np.unpackbits(
-            words.view(np.uint8), axis=1, count=self.n - 64 * word, bitorder="little"
-        )
+        bits = unpack_rows(self.graph.packed()[index, word:], self.n - 64 * word)
         return bits[:, start - 64 * word :].astype(np.float32)
 
     def common(self, among: Optional[np.ndarray], lo: int, hi: int, start: int) -> np.ndarray:
@@ -347,14 +344,17 @@ def is_triangle_free(g: Graph) -> tuple[bool, Optional[tuple[int, int, int]]]:
 
 
 def is_twin_free(g: Graph) -> tuple[bool, Optional[tuple[int, int]]]:
-    """No two vertices with identical neighborhoods."""
-    seen: dict[int, int] = {}
-    for v in range(g.order):
-        r = g.rows[v]
-        if r in seen:
-            return False, (seen[r], v)
-        seen[r] = v
-    return True, None
+    """No two vertices with identical neighborhoods; the witness is the
+    first vertex v whose row repeats an earlier one, after the first u with
+    that row."""
+    packed = g.packed()
+    keys = packed.view(np.dtype((np.void, packed.itemsize * packed.shape[1]))).reshape(-1)
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    first = first[which]
+    twins = np.flatnonzero(first != np.arange(g.order))
+    if not len(twins):
+        return True, None
+    return False, (int(first[twins[0]]), int(twins[0]))
 
 
 def has_anti_triangle(g: Graph) -> tuple[bool, Optional[tuple[int, int, int]]]:
@@ -758,15 +758,12 @@ def multiplicity(
 
 
 def _multiplicity_exact(g: Graph, k: int) -> Optional[tuple[int, tuple]]:
-    rows = g.rows
-    n = g.order
     if k == 1:
-        best = None
-        for v in range(n):
-            d = rows[v].bit_count()
-            if best is None or d < best[0]:
-                best = (d, (v,))
-        return best
+        degrees = g.degrees()
+        if not degrees:
+            return None
+        v = int(np.argmin(degrees))
+        return degrees[v], (v,)
     if k > 3:
         return _mu_generic(g, k)
     cnt = _Counts(g)

@@ -303,6 +303,69 @@ def ref_twisted_tournament_hypercube_rows(t, m: int, k: int) -> list[int]:
     return rows
 
 
+def _ref_rows_from_edges(order: int, edges) -> list[int]:
+    rows = [0] * order
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
+def ref_albert_cycles_rows(n: int) -> list[int]:
+    """Rows of albert_cycles(n), edge by edge (the former construction)."""
+    idx = lambda i, x: (i - 1) * 4 + x % 4
+    edges = []
+    for i in range(1, n + 1):
+        for x in range(4):
+            edges.append((idx(i, x), idx(i, x + 1)))
+            for ip in range(i + 1, n + 1):
+                edges.append((idx(i, x), idx(ip, x + 2)))
+    return _ref_rows_from_edges(4 * n, edges)
+
+
+def ref_albert_matrix_rows(m) -> list[int]:
+    """Rows of albert_matrix(m), edge by edge (the former construction):
+    matchings a_i~b_i and c_j~d_j, then a_i~c_j and b_i~d_j for a 1 entry,
+    a_i~d_j and b_i~c_j for a 0 entry."""
+    nr, nc = m.nrows, m.ncols
+    edges = [(i, nr + i) for i in range(nr)] + [(2 * nr + j, 2 * nr + nc + j) for j in range(nc)]
+    for i in range(nr):
+        for j in range(nc):
+            c, d = 2 * nr + j, 2 * nr + nc + j
+            edges += [(i, c), (nr + i, d)] if m.bits[i][j] else [(i, d), (nr + i, c)]
+    return _ref_rows_from_edges(2 * nr + 2 * nc, edges)
+
+
+def ref_circular_rows(n: int) -> list[int]:
+    """Rows of circular(n), pair by pair (the former construction): arcs
+    of n consecutive elements of Z_(3n-1), adjacent when disjoint."""
+    size = 3 * n - 1
+    return _ref_rows_from_edges(size, [
+        (t, s) for t, s in combinations(range(size), 2)
+        if (s - t) % size >= n and (t - s) % size >= n
+    ])
+
+
+def ref_twisted_z4_rows(sizes, arcs) -> list[int]:
+    """Rows of the Z_4 twisted graph with parts of the given sizes wired
+    along the arcs (i, i'), edge by edge (the former construction)."""
+    offsets = [4 * sum(sizes[:i]) for i in range(len(sizes))]
+    idx = lambda i, j, x: offsets[i] + (j - 1) * 4 + x % 4
+    edges = []
+    for i, size in enumerate(sizes):
+        for j in range(1, size + 1):
+            for x in range(4):
+                edges.append((idx(i, j, x), idx(i, j, x + 1)))
+                for jp in range(j + 1, size + 1):
+                    edges.append((idx(i, j, x), idx(i, jp, x + 2)))
+    for i, ip in arcs:
+        for j in range(1, sizes[i] + 1):
+            for jp in range(1, sizes[ip] + 1):
+                for x in range(4):
+                    edges.append((idx(i, j, x), idx(ip, jp, x + 3)))
+    return _ref_rows_from_edges(4 * sum(sizes), edges)
+
+
 def ref_shattered_witness(m):
     """is_shattered_matrix(m) by the former pure-Python scan: rows before
     columns, triples in lexicographic order, each column's pattern p folded

@@ -1,5 +1,6 @@
 """Family constructors: orders, degrees, identities, and preconditions."""
 
+import time
 from math import comb
 
 import numpy as np
@@ -20,6 +21,8 @@ from ectf import (
     hypercube_ckj,
     hypercube_layers,
     is_triangle_free,
+    is_twin_free,
+    multiplicity,
     random_matrix,
     random_tournament,
     twist,
@@ -31,7 +34,14 @@ from ectf import (
 from ectf import families
 from ectf.shattered import BitMatrix
 
-from helpers import ref_hypercube_layers_rows, ref_twisted_tournament_hypercube_rows
+from helpers import (
+    ref_albert_cycles_rows,
+    ref_albert_matrix_rows,
+    ref_circular_rows,
+    ref_hypercube_layers_rows,
+    ref_twisted_tournament_hypercube_rows,
+    ref_twisted_z4_rows,
+)
 
 T4, T4P = canonical_tournaments()
 
@@ -388,6 +398,9 @@ def test_copies_block_layout_does_not_change_rows(monkeypatch, block_bytes):
     assert list(twisted_tournament_hypercube(t, 3, 1).rows) == (
         ref_twisted_tournament_hypercube_rows(t, 3, 1)
     )
+    # unequal copy counts: odd and even parts, two copies to a packed byte
+    for sizes in ([3, 2, 5, 4], [2, 7, 2, 3]):
+        assert list(twisted_four(*sizes).rows) == ref_twisted_z4_rows(sizes, T4.arcs())
 
 
 @pytest.mark.parametrize(
@@ -403,9 +416,83 @@ def test_twisted_tournament_hypercube_matches_reference(t, m, k):
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_MEMBERS))
+def test_member_holds_no_int_rows_until_read(family):
+    """The packed words are the one adjacency: reading degrees, the edge
+    count, twins or a relabelled copy derives no Python-int rows."""
+    g = FAMILY_MEMBERS[family]()
+    h = g.relabel(list(reversed(range(g.order))))
+    g.degrees(), g.edge_count, is_twin_free(g), g.same_adjacency(h), multiplicity(g, 1)
+    assert g._rows is None and h._rows is None
+    assert g.rows[0] == g.row(0) and g._rows is not None
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_MEMBERS))
 def test_member_passes_graph_invariants(family):
     """Constructors that skip validation still build symmetric, irreflexive
     rows with distinct labels, and a packed view that matches the rows."""
     g = FAMILY_MEMBERS[family]()
     g._check_invariants()
     assert np.array_equal(g.packed(), Graph(g.rows).packed())
+
+
+def test_capacity_is_checked_before_any_work():
+    # one step past 2^15 vertices: each would build a matrix of about 2^30
+    # bits, or hundreds of millions of edge tuples, if asked
+    for build in (
+        lambda: albert_cycles(8193),
+        lambda: circular(10924),
+        lambda: twisted_four(2049, 2048, 2048, 2048),
+        lambda: twisted_tournament(T4, 2049),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="32768"):
+            build()
+        assert time.perf_counter() - start < 0.25
+
+
+def test_albert_cycles_match_reference():
+    for n in range(4, 101):
+        g = albert_cycles(n)
+        assert list(g.rows) == ref_albert_cycles_rows(n), n
+        assert g.labels == tuple((i, x) for i in range(1, n + 1) for x in range(4))
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (5, 9), (9, 5), (32, 32), (17, 70)])
+def test_albert_matrix_matches_reference(shape):
+    for seed in range(3):
+        m = random_matrix(*shape, 20260811 + seed)
+        assert list(albert_matrix(m).rows) == ref_albert_matrix_rows(m)
+    for m in (BitMatrix.identity(shape[0]), BitMatrix.filled(*shape, 1)):
+        assert list(albert_matrix(m).rows) == ref_albert_matrix_rows(m)
+
+
+def test_circular_matches_reference():
+    # the pair-by-pair reference grows as n^2: every order up to 60, then
+    # a spread of larger ones up to 200
+    for n in list(range(1, 61)) + [64, 85, 100, 128, 150, 171, 199, 200]:
+        g = circular(n)
+        assert list(g.rows) == ref_circular_rows(n), n
+        assert g.labels == tuple((t,) for t in range(3 * n - 1))
+
+
+@pytest.mark.parametrize("sizes", [(2, 3, 2, 4), (5, 2, 3, 2), (2, 2, 2, 7), (6, 5, 4, 3)])
+def test_twisted_four_matches_reference(sizes):
+    g = twisted_four(*sizes)
+    assert list(g.rows) == ref_twisted_z4_rows(sizes, T4.arcs())
+    assert g.labels == tuple(
+        (i, j, x) for i in range(4) for j in range(1, sizes[i] + 1) for x in range(4)
+    )
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+@pytest.mark.parametrize(
+    "t",
+    [T4, T4P, random_tournament(7, 20260811), random_tournament(9, 20260812)],
+    ids=["t4", "t4p", "seeded7", "seeded9"],
+)
+def test_twisted_tournament_matches_reference(t, m):
+    g = twisted_tournament(t, m)
+    assert list(g.rows) == ref_twisted_z4_rows([m] * t.order, t.arcs())
+    assert g.labels == tuple(
+        (i, j, x) for i in range(t.order) for j in range(1, m + 1) for x in range(4)
+    )

@@ -1,7 +1,9 @@
 """Core graph type, Cayley construction, and neighborhood operations."""
 
+import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from ectf import (
@@ -13,6 +15,7 @@ from ectf import (
     common_neighbors,
     degree_stats,
 )
+from ectf import graphs
 from ectf.graphs import bit_indices, iter_bits
 
 from helpers import MASTER_SEED, random_maximal_triangle_free
@@ -69,6 +72,28 @@ class TestGraphType:
         assert h.adjacent(2, 0)  # image of edge (0, 1)
         assert sorted(h.degrees()) == sorted(g.degrees())
 
+    @pytest.mark.parametrize("block", [1, 1 << 22])
+    def test_relabel_moves_labels_with_vertices(self, monkeypatch, block):
+        monkeypatch.setattr(graphs, "_BLOCK", block)
+        g = Graph.from_edges(3, [(0, 1)], labels=[("a",), ("b",), ("c",)])
+        h = g.relabel([2, 0, 1])
+        assert h.labels == (("b",), ("c",), ("a",))
+        assert h.rows == (0b100, 0b000, 0b001)
+        g = random_maximal_triangle_free(70, MASTER_SEED)
+        g = Graph(g.rows, labels=[(v,) for v in range(70)])
+        perm = [(37 * v + 11) % 70 for v in range(70)]
+        h = g.relabel(perm)
+        for u in range(70):
+            assert h.labels[perm[u]] == g.labels[u]
+            assert h.row(perm[u]) == sum(1 << perm[v] for v in iter_bits(g.row(u)))
+
+    def test_packed_is_read_only(self):
+        g = random_maximal_triangle_free(70, MASTER_SEED)
+        for h in (g, Graph(g.rows), Graph.from_edges(3, [(0, 1)]), g.relabel(list(range(70))),
+                  build_cayley(DistanceSetSpec(3, {1}))):
+            with pytest.raises(ValueError):
+                h.packed()[0, 0] = 1
+
     def test_packed_matches_rows(self):
         g = random_maximal_triangle_free(70, MASTER_SEED)
         packed = g.packed()
@@ -80,6 +105,94 @@ class TestGraphType:
     def test_bit_helpers(self):
         assert bit_indices(0b101001) == [0, 3, 5]
         assert list(iter_bits(0)) == []
+
+
+def _ref_first_offence(rows):
+    """The message Graph(rows) raises, found row by row and bit by bit."""
+    n = len(rows)
+    for u, row in enumerate(rows):
+        if row >> n:
+            return f"adjacency row {u} has bits beyond vertex {n - 1}"
+        if (row >> u) & 1:
+            return f"self-loop at vertex {u}"
+        for v in iter_bits(row):
+            if not (rows[v] >> u) & 1:
+                return f"adjacency not symmetric at ({u},{v})"
+    return None
+
+
+class TestValidationPins:
+    """Exception types and messages, including which offender is named first."""
+
+    @pytest.mark.parametrize("rows, message", [
+        ([0b1000, 0, 0], "adjacency row 0 has bits beyond vertex 2"),
+        ([0, -1], "adjacency row 1 has bits beyond vertex 1"),
+        ([0b1001, 0], "adjacency row 0 has bits beyond vertex 1"),
+        ([0b10, 0b111], "adjacency row 1 has bits beyond vertex 1"),
+        ([0b010, 0b000, 0b1000], "adjacency not symmetric at (0,1)"),
+        ([0b010, 0b101, 0b110], "self-loop at vertex 2"),
+        ([0b110, 0b001, 0b000], "adjacency not symmetric at (0,2)"),
+        ([0b011, 0b001], "self-loop at vertex 0"),
+        ([0b001, 0b010], "self-loop at vertex 0"),
+        ([0b100, 0b100], "adjacency row 0 has bits beyond vertex 1"),
+    ])
+    def test_graph_rows_first_offender(self, rows, message):
+        assert _ref_first_offence(rows) == message
+        with pytest.raises(ParameterError) as info:
+            Graph(rows)
+        assert type(info.value) is ParameterError
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("block", [1, 1 << 22])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_first_offender_in_a_large_graph(self, monkeypatch, seed, block):
+        # three defects of a 300-vertex graph at seeded places: whichever
+        # comes first is named, as by a row-by-row walk, in blocks of 64 rows
+        # or in one
+        monkeypatch.setattr(graphs, "_BLOCK", block)
+        rng = np.random.Generator(np.random.PCG64(MASTER_SEED + seed))
+        rows = list(random_maximal_triangle_free(300, MASTER_SEED + seed).rows)
+        u, v, w = (int(x) for x in rng.integers(0, 300, size=3))
+        rows[u] |= 1 << 300 + int(rng.integers(0, 70))
+        rows[v] |= 1 << v
+        x = int(rng.integers(0, 300))
+        rows[w] ^= 1 << x if x != w else 0
+        message = _ref_first_offence(rows)
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            Graph(rows)
+
+    def test_packed_padding_and_asymmetry_are_named(self):
+        packed = np.zeros((3, 1), dtype=np.uint64)
+        packed[1:, 0] = 1 << 40
+        with pytest.raises(ParameterError, match=r"^adjacency row 1 has bits beyond vertex 2$"):
+            Graph._from_packed(packed)._check_invariants()
+        packed = np.zeros((3, 1), dtype=np.uint64)
+        packed[2, 0] = 0b001
+        with pytest.raises(ParameterError, match=r"^adjacency not symmetric at \(2,0\)$"):
+            Graph._from_packed(packed)._check_invariants()
+        packed = np.array([[0b000], [0b010], [0b100]], dtype=np.uint64)
+        with pytest.raises(ParameterError, match=r"^self-loop at vertex 1$"):
+            Graph._from_packed(packed)._check_invariants()
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1), (-1, 0)], "edge (-1,0) out of range for order 3"),
+        ([(0, 1), (0, 3)], "edge (0,3) out of range for order 3"),
+        ([(0, 1), (2**64, 0)], "edge (18446744073709551616,0) out of range for order 3"),
+        ([(0, 2**63)], "edge (0,9223372036854775808) out of range for order 3"),
+        ([(0, 1), (-(2**70), 1)], f"edge ({-(2**70)},1) out of range for order 3"),
+        ([(0, 1), (1, 1), (5, 0)], "self-loop at vertex 1"),
+        ([(2, 2), (0, 5)], "self-loop at vertex 2"),
+    ])
+    def test_from_edges_first_offender(self, edges, message):
+        with pytest.raises(ParameterError) as info:
+            Graph.from_edges(3, edges)
+        assert type(info.value) is ParameterError
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("edges", [[(0.5, 1)], [(1.0, 2)], [("1", 2)]])
+    def test_from_edges_rejects_non_integer_vertices(self, edges):
+        with pytest.raises(TypeError):
+            Graph.from_edges(3, edges)
 
 
 class TestBuildCayley:

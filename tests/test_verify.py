@@ -1,8 +1,12 @@
 """Property checkers, multiplicities, circular recognition, and the center
 construction: unit examples plus cross-checks against reference oracles."""
 
+from itertools import combinations
+
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ectf import (
     DistanceSetSpec,
@@ -42,6 +46,7 @@ from ectf.verify import (
 from helpers import (
     MASTER_SEED,
     center_exists_bruteforce,
+    nbrs,
     random_graph,
     random_maximal_triangle_free,
     ref_multiplicity,
@@ -556,3 +561,71 @@ class TestMu2Formula:
         cn = common_neighbors(g, triple)
         assert cn == 1 << (g.order - 1)  # exactly the all-ones vector
 
+
+
+def _assert_witness_holds(g, name, witness):
+    """A witness certify or is_3ectf returned for g, checked on plain sets."""
+    nb = [nbrs(g, v) for v in range(g.order)]
+    independent = lambda s: all(v not in nb[u] for u, v in combinations(s, 2))
+    if name == "is_3ectf":
+        reason, witness = witness
+        names = {"triangle": "triangle_free", "uncovered": "adj_3", "twins": "twin_free"}
+        name = names.get(reason, reason)
+    if name == "triangle_free":
+        a, b, c = witness
+        assert b in nb[a] and c in nb[a] and c in nb[b]
+    elif name == "twin_free":
+        u, v = witness
+        assert u != v and nb[u] == nb[v]
+    elif name == "anti_triangle":
+        assert len(set(witness)) == 3 and independent(witness)
+    elif name.startswith("adj_"):
+        assert independent(witness) and not set.intersection(*(nb[v] for v in witness))
+    elif name.startswith("e_"):
+        a_set, b_set = witness
+        assert set(b_set) <= set(a_set) and independent(b_set)
+        avoid = set(a_set) - set(b_set)
+        assert not any(
+            set(b_set) <= nb[v] and not nb[v] & avoid for v in range(g.order) if v not in a_set
+        )
+    elif name == "circular":
+        # the verdict is the n of circular(n): 3n - 1 vertices, arcs of n
+        m = g.order
+        assert m == 3 * witness - 1
+        target = nx.circulant_graph(m, range(witness, 2 * witness))
+        plain = nx.empty_graph(m)
+        plain.add_edges_from(g.edges())
+        assert nx.is_isomorphic(plain, target)
+    else:
+        raise AssertionError(f"no witness expected from {name}")
+
+
+_SMALL_GRAPHS = st.one_of(
+    st.tuples(st.integers(0, 24), st.floats(0.0, 1.0), st.integers(0, 2**32)).map(
+        lambda c: random_graph(*c)
+    ),
+    st.tuples(st.integers(0, 24), st.integers(0, 2**32)).map(
+        lambda c: random_maximal_triangle_free(*c)
+    ),
+    st.sampled_from([(circular, 3), (circular, 8), (albert_cycles, 4), (albert_cycles, 6)]).map(
+        lambda c: c[0](c[1])
+    ),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_SMALL_GRAPHS.flatmap(lambda g: st.tuples(st.just(g), st.permutations(range(g.order)))))
+def test_verdicts_unchanged_under_relabel(case):
+    """certify(g, 3) and is_3ectf give the same verdicts on a relabelled
+    copy, and every witness on the copy holds there."""
+    g, perm = case
+    h = g.relabel(list(perm))
+    for before, after in ((certify(g, 3), certify(h, 3)), (is_3ectf(g), is_3ectf(h))):
+        assert list(after.checks) == list(before.checks)
+        for name, res in after.checks.items():
+            assert res.verdict == before.verdict(name), name
+            if name == "is_circular":
+                if res.verdict is not None:
+                    _assert_witness_holds(h, "circular", res.verdict)
+            elif res.witness is not None:
+                _assert_witness_holds(h, name, res.witness)
