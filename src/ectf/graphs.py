@@ -4,7 +4,7 @@ Vertices are integers 0..n-1.  A graph stores its adjacency once, as a
 read-only (n, ceil(n/64)) uint64 array: bit v of row u (word v >> 6,
 position v & 63) is set iff u ~ v.  Every constructor writes these words
 directly, in row blocks.  The same rows as Python-int bitsets, which the
-recursive checks intersect and count, are derived on first use.
+set-by-set checks intersect and count, are derived on first use.
 """
 
 from __future__ import annotations

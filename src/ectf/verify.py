@@ -12,7 +12,11 @@ membership masks), and reported witnesses are always the first violation
 in that order.  Sets of at most three vertices are scanned by one count
 kernel (common-neighbour counts as float32 matrix products, taken in row
 blocks); each block is reduced in that same order, so the witness does not
-depend on the block size.  Larger sets are enumerated recursively.
+depend on the block size.  Larger sets, and the anti-triangle, come from
+one depth-first enumerator of independent sets in lexicographic order,
+which carries each set's common neighbours as a bitset; the realizer
+checks of e_k and e_k' for k >= 4 walk the sets it (or `combinations`)
+gives them.
 """
 
 from __future__ import annotations
@@ -22,12 +26,12 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .families import circular
-from .graphs import Graph, ParameterError, iter_bits, unpack_rows
+from .graphs import Graph, ParameterError, common_neighbors, unpack_rows
 from .isomorphism import are_isomorphic
 
 # float32 elements in one working block of the count kernel (4 MiB)
@@ -360,17 +364,8 @@ def is_twin_free(g: Graph) -> tuple[bool, Optional[tuple[int, int]]]:
 def has_anti_triangle(g: Graph) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """Whether some three vertices are pairwise nonadjacent; on success the
     witness is the first such triple in lexicographic order."""
-    rows = g.rows
-    full = g.full_mask
-    n = g.order
-    for u in range(n):
-        cand_u = ~rows[u] & full & ~((1 << (u + 1)) - 1)
-        for v in iter_bits(cand_u):
-            w_mask = cand_u & ~rows[v] & ~((1 << (v + 1)) - 1)
-            if w_mask:
-                w = (w_mask & -w_mask).bit_length() - 1
-                return True, (u, v, w)
-    return False, None
+    first = next(_independent_sets(g, 3), None)
+    return (False, None) if first is None else (True, first[0])
 
 
 def satisfies_adj_k(g: Graph, k: int) -> tuple[bool, Optional[tuple]]:
@@ -382,32 +377,47 @@ def satisfies_adj_k(g: Graph, k: int) -> tuple[bool, Optional[tuple]]:
     if w is not None:
         return False, w
     for size in range(4, k + 1):
-        found = _first_uncovered_set(g, size)
-        if found is not None:
-            return False, found
+        for s_set, common in _independent_sets(g, size):
+            if not common:
+                return False, s_set
     return True, None
 
 
-def _first_uncovered_set(g: Graph, size: int) -> Optional[tuple]:
-    """First independent set of exactly `size` vertices without a common
-    neighbor (sizes below `size` must already be covered)."""
+def _independent_sets(
+    g: Graph, size: int, cand: Optional[int] = None
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The independent `size`-sets inside the bitset `cand` (default: every
+    vertex) in lexicographic order, each with the bitset of its common
+    neighbours.  Depth-first over an explicit stack; a branch is cut when
+    fewer candidates remain than members are still missing."""
     rows = g.rows
     full = g.full_mask
-
-    def rec(prefix: list[int], cand: int, inter: int) -> Optional[tuple]:
-        if len(prefix) == size:
-            return tuple(prefix) if not inter else None
-        for v in iter_bits(cand):
-            res = rec(
-                prefix + [v],
-                cand & ~rows[v] & ~((1 << (v + 1)) - 1),
-                inter & rows[v],
-            )
-            if res is not None:
-                return res
-        return None
-
-    return rec([], full, full)
+    if size == 0:
+        yield (), full
+        return
+    last = size - 1
+    members = [0] * size
+    # per depth: candidates still to try there, common neighbours of the
+    # members above it
+    cands = [full if cand is None else cand] + [0] * last
+    inters = [full] + [0] * last
+    depth = 0
+    while depth >= 0:
+        c = cands[depth]
+        if c.bit_count() < size - depth:
+            depth -= 1
+            continue
+        low = c & -c
+        v = low.bit_length() - 1
+        c ^= low
+        cands[depth] = c
+        members[depth] = v
+        if depth == last:
+            yield tuple(members), inters[depth] & rows[v]
+        else:
+            depth += 1
+            cands[depth] = c & ~rows[v]
+            inters[depth] = inters[depth - 1] & rows[v]
 
 
 # ---------------------------------------------------------------------------
@@ -423,19 +433,27 @@ def _independent(rows: tuple[int, ...], verts: tuple[int, ...]) -> bool:
     return True
 
 
-def _extension_candidates(
-    g: Graph, a_set: tuple[int, ...], bmask: int
-) -> int:
-    """Bitset of vertices outside a_set adjacent to exactly the bmask-selected
-    members of a_set (and to no other member)."""
-    cand = g.full_mask
-    for i, v in enumerate(a_set):
-        if (bmask >> i) & 1:
-            cand &= g.rows[v]
-        else:
-            cand &= ~g.rows[v]
-        cand &= ~(1 << v)
-    return cand
+def _first_unrealized_among(
+    g: Graph, a_sets: Iterable[tuple[int, ...]]
+) -> Optional[tuple[tuple, tuple]]:
+    """First (A, B), A from the iterable `a_sets` in its order and B an
+    independent subset of A by membership mask, such that no vertex outside
+    A is adjacent to exactly the members B of A."""
+    rows = g.rows
+    for a_set in a_sets:
+        # parts[mask]: vertices outside A whose neighbours in A are the
+        # members selected by mask (bit i for a_set[i])
+        parts = [g.full_mask & ~sum(1 << v for v in a_set)]
+        for v in a_set:
+            parts = [p & ~rows[v] for p in parts] + [p & rows[v] for p in parts]
+        if all(parts):
+            continue
+        for mask, part in enumerate(parts):
+            if not part:
+                b_set = tuple(v for i, v in enumerate(a_set) if mask >> i & 1)
+                if _independent(rows, b_set):
+                    return a_set, b_set
+    return None
 
 
 def satisfies_e_k(g: Graph, k: int) -> tuple[bool, Optional[tuple[tuple, tuple]]]:
@@ -456,43 +474,10 @@ def satisfies_e_k(g: Graph, k: int) -> tuple[bool, Optional[tuple[tuple, tuple]]
         if witness is not None:
             return False, witness
     for size in range(4, k + 1):
-        witness = _e_k_size_generic(g, size)
+        witness = _first_unrealized_among(g, combinations(range(g.order), size))
         if witness is not None:
             return False, witness
     return True, None
-
-
-def _e_k_size_generic(g: Graph, size: int) -> Optional[tuple[tuple, tuple]]:
-    rows = g.rows
-    for a_set in combinations(range(g.order), size):
-        for bmask in range(1 << size):
-            b_set = tuple(a_set[i] for i in range(size) if (bmask >> i) & 1)
-            if not _independent(rows, b_set):
-                continue
-            if not _extension_candidates(g, a_set, bmask):
-                return a_set, b_set
-    return None
-
-
-def _extends_to_independent(g: Graph, s_set: tuple[int, ...], k: int) -> bool:
-    """Whether the independent set s_set is contained in an independent set
-    of cardinality exactly k."""
-    rows = g.rows
-    cand = g.full_mask
-    for v in s_set:
-        cand &= ~rows[v] & ~(1 << v)
-
-    def rec(cand_mask: int, need: int) -> bool:
-        if need == 0:
-            return True
-        if cand_mask.bit_count() < need:
-            return False
-        for v in iter_bits(cand_mask):
-            if rec(cand_mask & ~rows[v] & ~((1 << (v + 1)) - 1), need - 1):
-                return True
-        return False
-
-    return rec(cand, k - len(s_set))
 
 
 def satisfies_e_k_prime(g: Graph, k: int) -> tuple[bool, Optional[tuple]]:
@@ -521,23 +506,15 @@ def satisfies_e_k_prime(g: Graph, k: int) -> tuple[bool, Optional[tuple]]:
 def _e_k_prime_generic(g: Graph, k: int) -> tuple[bool, Optional[tuple]]:
     """satisfies_e_k_prime by enumerating the sets one by one."""
     rows = g.rows
-    n = g.order
-    if not _extends_to_independent(g, (), k):
-        return False, ("extend", ())
-    for size in range(1, k):
-        for s_set in combinations(range(n), size):
-            if not _independent(rows, s_set):
-                continue
-            if not _extends_to_independent(g, s_set, k):
+    for size in range(k):
+        for s_set, _ in _independent_sets(g, size):
+            outside = g.full_mask
+            for v in s_set:
+                outside &= ~rows[v] & ~(1 << v)
+            if next(_independent_sets(g, k - size, outside), None) is None:
                 return False, ("extend", s_set)
-    for a_set in combinations(range(n), k):
-        if not _independent(rows, a_set):
-            continue
-        for bmask in range(1 << k):
-            b_set = tuple(a_set[i] for i in range(k) if (bmask >> i) & 1)
-            if not _extension_candidates(g, a_set, bmask):
-                return False, ("attach", a_set, b_set)
-    return True, None
+    witness = _first_unrealized_among(g, (a_set for a_set, _ in _independent_sets(g, k)))
+    return (True, None) if witness is None else (False, ("attach",) + witness)
 
 
 # ---------------------------------------------------------------------------
@@ -671,17 +648,13 @@ def is_3ectf(g: Graph) -> PropertyReport:
     return report
 
 
-def certify(
-    g: Graph,
-    k_max: int = 3,
-    include_extension: bool = True,
-) -> PropertyReport:
+def certify(g: Graph, k_max: int = 3) -> PropertyReport:
     """Full property battery through the requested k.
 
     Computes triangle-freeness, twin-freeness, anti-triangle existence,
-    the common-neighbor properties and (optionally) both existential
-    formulations for k = 1..k_max, maximality, circular recognition, and
-    the combined 3ECTF verdict when k_max >= 3.
+    the common-neighbor properties and existential completeness for
+    k = 1..k_max, maximality, circular recognition, and the combined 3ECTF
+    verdict when k_max >= 3.
     """
     if k_max < 1:
         raise ParameterError(f"certify needs k_max >= 1, got {k_max}")
@@ -693,10 +666,9 @@ def certify(
     for k in range(1, k_max + 1):
         _timed(report, f"adj_{k}", lambda k=k: satisfies_adj_k(g, k))
     adj2 = report.verdict("adj_2") if k_max >= 2 else satisfies_adj_k(g, 2)[0]
-    report.add("maximal_triangle_free", tf and adj2)
-    if include_extension:
-        for k in range(1, k_max + 1):
-            _timed(report, f"e_{k}", lambda k=k: satisfies_e_k(g, k))
+    report.add("maximal_triangle_free", adj2)
+    for k in range(1, k_max + 1):
+        _timed(report, f"e_{k}", lambda k=k: satisfies_e_k(g, k))
     _timed(report, "is_circular", lambda: (recognize_circular(g), None))
     if k_max >= 3:
         _add_3ectf_verdict(report)
@@ -779,29 +751,13 @@ def _multiplicity_exact(g: Graph, k: int) -> Optional[tuple[int, tuple]]:
 
 
 def _mu_generic(g: Graph, k: int) -> Optional[tuple[int, tuple]]:
-    rows = g.rows
-    full = g.full_mask
     best: Optional[tuple[int, tuple]] = None
-
-    def rec(prefix: list[int], cand: int, inter: int) -> bool:
-        nonlocal best
-        if len(prefix) == k:
-            cnt = inter.bit_count()
-            if best is None or cnt < best[0]:
-                best = (cnt, tuple(prefix))
-                if cnt == 0:
-                    return True
-            return False
-        for v in iter_bits(cand):
-            if rec(
-                prefix + [v],
-                cand & ~rows[v] & ~((1 << (v + 1)) - 1),
-                inter & rows[v],
-            ):
-                return True
-        return False
-
-    rec([], full, full)
+    for s_set, common in _independent_sets(g, k):
+        count = common.bit_count()
+        if best is None or count < best[0]:
+            best = (count, s_set)
+            if count == 0:
+                break
     return best
 
 
@@ -819,18 +775,12 @@ def _multiplicity_sampled(
             pick = tuple(sorted(int(v) for v in rng.choice(n, size=k, replace=False)))
             if not _independent(rows, pick):
                 continue
-            inter = g.full_mask
-            for v in pick:
-                inter &= rows[v]
-            cnt = inter.bit_count()
+            cnt = common_neighbors(g, pick).bit_count()
             if best is None or cnt < best[0]:
                 best = (cnt, pick)
-    if best is None:
-        return MultiplicityResult(
-            k, None, None, exact=False, trials=trials, seed=seed, rng="PCG64"
-        )
+    value, witness = best or (None, None)
     return MultiplicityResult(
-        k, best[0], best[1], exact=False, trials=trials, seed=seed, rng="PCG64"
+        k, value, witness, exact=False, trials=trials, seed=seed, rng="PCG64"
     )
 
 

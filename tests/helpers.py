@@ -147,8 +147,12 @@ def ref_satisfies_adj_k(g: Graph, k: int):
     return True, None
 
 
-def ref_multiplicity(g: Graph, k: int):
-    return ref_multiplicity_witness(g, k)[0]
+def ref_first_independent_triple(g: Graph):
+    """The first pairwise nonadjacent triple in lexicographic order, or None."""
+    for triple in combinations(range(g.order), 3):
+        if not any(g.adjacent(u, v) for u, v in combinations(triple, 2)):
+            return triple
+    return None
 
 
 def ref_multiplicity_witness(g: Graph, k: int):

@@ -20,6 +20,7 @@ from ectf import (
     common_neighbors,
     erdos_hypercube,
     has_anti_triangle,
+    hypercube_layers,
     is_3ectf,
     is_triangle_free,
     is_twin_free,
@@ -37,8 +38,8 @@ from ectf import verify
 from ectf.verify import (
     _Counts,
     _e_k_prime_generic,
-    _e_k_size_generic,
     _first_unrealized,
+    _first_unrealized_among,
     _mu_generic,
     certify,
 )
@@ -49,7 +50,7 @@ from helpers import (
     nbrs,
     random_graph,
     random_maximal_triangle_free,
-    ref_multiplicity,
+    ref_first_independent_triple,
     ref_multiplicity_witness,
     ref_satisfies_adj_k,
     ref_satisfies_e_k,
@@ -119,6 +120,16 @@ class TestAntiTriangle:
         g = clebsch()
         assert not (g.adjacent(a, b) or g.adjacent(a, c) or g.adjacent(b, c))
 
+    def test_matches_reference_on_random_graphs(self):
+        none_found = 0
+        for n in range(16):
+            for i, p in enumerate((0.2, 0.5, 0.9)):
+                g = random_graph(n, p, MASTER_SEED + 1100 + 10 * n + i)
+                triple = ref_first_independent_triple(g)
+                assert has_anti_triangle(g) == (triple is not None, triple)
+                none_found += n >= 3 and triple is None
+        assert none_found >= 3
+
 
 class TestAdjK:
     def test_five_cycle_k2(self):
@@ -144,7 +155,7 @@ class TestAdjK:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_reference_on_random_corpus(self, seed):
         g = random_maximal_triangle_free(5 + seed, MASTER_SEED + seed)
-        for k in (1, 2, 3, 4):
+        for k in (1, 2, 3, 4, 5):
             assert satisfies_adj_k(g, k) == ref_satisfies_adj_k(g, k)
 
 
@@ -174,7 +185,7 @@ class TestEK:
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_reference_on_random_corpus(self, seed):
         g = random_maximal_triangle_free(5 + seed, MASTER_SEED + 100 + seed)
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 4):
             assert satisfies_e_k(g, k) == ref_satisfies_e_k(g, k)
 
     def test_witness_revalidates(self):
@@ -197,7 +208,7 @@ class TestVectorizedAgreesWithGeneric:
     @pytest.mark.parametrize("seed", range(8))
     def test_maximal_triangle_free_90(self, seed):
         g = random_maximal_triangle_free(90, MASTER_SEED + 200 + seed)
-        generic = _e_k_size_generic(g, 3)
+        generic = _first_unrealized_among(g, combinations(range(g.order), 3))
         vector = _first_unrealized(_Counts(g), 3, independent=False)
         assert generic == vector
 
@@ -205,7 +216,7 @@ class TestVectorizedAgreesWithGeneric:
         g = Graph.from_edges(
             90, [(i, i + 1) for i in range(89)] + [(89, 0)]
         )  # big cycle: plenty of failures
-        generic = _e_k_size_generic(g, 3)
+        generic = _first_unrealized_among(g, combinations(range(g.order), 3))
         vector = _first_unrealized(_Counts(g), 3, independent=False)
         assert generic == vector
 
@@ -267,6 +278,37 @@ class TestKernelAgreesWithOracle:
         assert [check(g) for g in graphs for check in checks] == expected
 
 
+# family members whose k = 4 scans reach an "attach" witness, a failure of
+# e_4 at |A| = 4 and a passing adj_4
+SIZE_FOUR_FAMILIES = {
+    "clebsch": clebsch,
+    "albert_cycles(5)": lambda: albert_cycles(5),
+    "erdos_hypercube(1)": lambda: erdos_hypercube(1),
+    "circular(5)": lambda: circular(5),
+    "hypercube_layers(1,4)": lambda: hypercube_layers(1, 4),
+}
+
+
+class TestSizeFourAgreesWithOracle:
+    """Verdicts and first witnesses of the k = 4 scans against the
+    plain-set references in helpers."""
+
+    @pytest.mark.parametrize("name", sorted(SIZE_FOUR_FAMILIES))
+    def test_scans(self, name):
+        g = SIZE_FOUR_FAMILIES[name]()
+        assert satisfies_adj_k(g, 4) == ref_satisfies_adj_k(g, 4)
+        assert satisfies_e_k(g, 4) == ref_satisfies_e_k(g, 4)
+        assert satisfies_e_k_prime(g, 4) == ref_satisfies_e_k_prime(g, 4)
+        res = multiplicity(g, 4)
+        assert (res.value, res.witness) == ref_multiplicity_witness(g, 4)
+
+    def test_families_reach_size_four(self):
+        graphs = [make() for make in SIZE_FOUR_FAMILIES.values()]
+        assert any(satisfies_e_k_prime(g, 4)[1][0] == "attach" for g in graphs)
+        assert any(len(satisfies_e_k(g, 4)[1][0]) == 4 for g in graphs)
+        assert any(satisfies_adj_k(g, 4)[0] for g in graphs)
+
+
 class TestEKPrime:
     def test_clebsch_k3(self):
         assert satisfies_e_k_prime(clebsch(), 3) == (True, None)
@@ -293,6 +335,13 @@ class TestEKPrime:
     def test_equivalent_to_e_k_on_random_corpus(self, k, seed):
         g = random_maximal_triangle_free(6 + seed, MASTER_SEED + 300 + seed)
         assert satisfies_e_k_prime(g, k)[0] == satisfies_e_k(g, k)[0]
+
+    # these reach "extend" witnesses of sizes 0, 1 and 2, which the
+    # SIZE_FOUR_FAMILIES members do not
+    @pytest.mark.parametrize("seed", range(6))
+    def test_k4_matches_reference(self, seed):
+        g = random_maximal_triangle_free(6 + seed, MASTER_SEED + 450 + seed)
+        assert satisfies_e_k_prime(g, 4) == ref_satisfies_e_k_prime(g, 4)
 
     def test_vectorized_route_matches_small_route(self):
         # the count kernel against the set-by-set route of k >= 4
@@ -424,8 +473,9 @@ class TestMultiplicity:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_reference(self, seed):
         g = random_maximal_triangle_free(6 + seed, MASTER_SEED + 600 + seed)
-        for k in (1, 2, 3):
-            assert multiplicity(g, k).value == ref_multiplicity(g, k)
+        for k in (1, 2, 3, 4):
+            res = multiplicity(g, k)
+            assert (res.value, res.witness) == ref_multiplicity_witness(g, k)
 
     def test_sampled_mode_upper_bound_and_flags(self):
         g = erdos_hypercube(2)
@@ -438,7 +488,7 @@ class TestMultiplicity:
         assert again.value == sampled.value and again.witness == sampled.witness
 
     def test_numpy_route_matches_python_route(self):
-        # the count kernel against the recursive enumeration of k >= 4
+        # the count kernel against the set-by-set enumeration of k >= 4
         g = random_maximal_triangle_free(100, MASTER_SEED + 1)
         fast = multiplicity(g, 3)
         assert (fast.value, fast.witness) == _mu_generic(g, 3)
