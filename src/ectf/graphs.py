@@ -199,13 +199,9 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges (u, v) with u < v, in lexicographic order."""
-        rows = self.rows
-        for u in range(self.order):
-            x = rows[u] >> (u + 1)
-            while x:
-                lsb = x & -x
-                yield (u, u + 1 + lsb.bit_length() - 1)
-                x ^= lsb
+        for u, row in enumerate(self.rows):
+            for v in iter_bits(row >> (u + 1)):
+                yield (u, u + 1 + v)
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Graph with vertex v renamed to perm[v] (labels follow)."""

@@ -6,17 +6,19 @@ given size, and the two equivalent existential-extension formulations),
 multiplicity computation, circular-graph recognition, and the hypercube
 majority-vote center construction.
 
-All checkers operate on the explicit Graph only.  Enumeration of candidate
-sets proceeds lexicographically (sizes ascending, then tuples, then subset
-membership masks), and reported witnesses are always the first violation
-in that order.  Sets of at most three vertices are scanned by one count
-kernel (common-neighbour counts as float32 matrix products, taken in row
-blocks); each block is reduced in that same order, so the witness does not
-depend on the block size.  Larger sets, and the anti-triangle, come from
-one depth-first enumerator of independent sets in lexicographic order,
-which carries each set's common neighbours as a bitset; the realizer
-checks of e_k and e_k' for k >= 4 walk the sets it (or `combinations`)
-gives them.
+All checkers operate on the explicit Graph: the 3ECTF fast path
+(triangles, adj_3, twins, circular recognition) on its packed words alone,
+while the anti-triangle, k >= 4 and sampled scans derive its rows.
+Enumeration of candidate sets proceeds lexicographically (sizes ascending,
+then tuples, then subset membership masks), and reported witnesses are
+always the first violation in that order.  Sets of at most three vertices
+are scanned by one count kernel (common-neighbour counts as float32 matrix
+products, taken in row blocks); each block is reduced in that same order,
+so the witness does not depend on the block size.  Larger sets, and the
+anti-triangle, come from one depth-first enumerator of independent sets in
+lexicographic order, which carries each set's common neighbours as a
+bitset; the realizer checks of e_k and e_k' for k >= 4 walk the sets it
+(or `combinations`) gives them.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .families import circular
-from .graphs import Graph, ParameterError, common_neighbors, unpack_rows
-from .isomorphism import are_isomorphic
+from .graphs import Graph, ParameterError, common_neighbors, iter_bits, unpack_rows
 
 # float32 elements in one working block of the count kernel (4 MiB)
 _BLOCK = 1 << 20
@@ -331,19 +332,19 @@ def _first_unextendable(cnt: _Counts, k: int) -> Optional[tuple[int, ...]]:
 
 def is_triangle_free(g: Graph) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """No three mutually adjacent vertices; witness is the first triangle
-    found scanning edges (u, v), u < v, lexicographically."""
-    rows = g.rows
+    found scanning edges (u, v), u < v, lexicographically (w the smallest
+    common neighbour of u and v)."""
+    packed = g.packed()
+    step = max(1, _BLOCK // packed.shape[1])  # gathers of at most _BLOCK words
     for u in range(g.order):
-        x = rows[u] >> (u + 1)
-        base = u + 1
-        while x:
-            lsb = x & -x
-            v = base + lsb.bit_length() - 1
-            common = rows[u] & rows[v]
-            if common:
-                w = (common & -common).bit_length() - 1
-                return False, tuple(sorted((u, v, w)))
-            x ^= lsb
+        later = u + 1 + np.flatnonzero(unpack_rows(packed[u : u + 1], g.order)[0, u + 1 :])
+        for lo in range(0, len(later), step):
+            common = packed[later[lo : lo + step]] & packed[u]
+            hit = _first(common != 0)
+            if hit is not None:
+                i, word = hit
+                w = 64 * word + next(iter_bits(int(common[i, word])))
+                return False, tuple(sorted((u, int(later[lo + i]), w)))
     return True, None
 
 
@@ -524,15 +525,25 @@ def _e_k_prime_generic(g: Graph, k: int) -> tuple[bool, Optional[tuple]]:
 
 def recognize_circular(g: Graph) -> Optional[int]:
     """n such that g is isomorphic to the circular graph on 3n-1 vertices
-    (arcs of n consecutive elements, adjacent when disjoint), else None."""
+    (arcs of n consecutive elements, adjacent when disjoint), else None.
+    In it only t - 1 and t + 1 share n - 1 neighbours with t, so a walk from
+    vertex 0 to such unvisited vertices reads off the order to compare."""
     nv = g.order
     if nv < 2 or (nv + 1) % 3:
         return None
     n = (nv + 1) // 3
-    degs = g.degrees()
-    if degs.count(n) != nv:
+    if g.degrees().count(n) != nv:
         return None
-    return n if are_isomorphic(g, circular(n)) is not None else None
+    packed, order = g.packed(), [0]
+    unvisited = np.arange(nv) > 0
+    while len(order) < nv:
+        shared = np.bitwise_count(packed & packed[order[-1]]).sum(axis=1)
+        step = np.flatnonzero((shared == n - 1) & unvisited)
+        if not len(step):
+            return None
+        order.append(int(step[0]))
+        unvisited[order[-1]] = False
+    return n if circular(n).relabel(order).same_adjacency(g) else None
 
 
 @dataclass
@@ -591,19 +602,11 @@ class PropertyReport:
             "order": self.order,
             "edges": self.edges,
             "checks": {
-                name: {"verdict": res.verdict, "witness": _jsonable(res.witness)}
+                name: {"verdict": res.verdict, "witness": res.witness}
                 for name, res in self.checks.items()
             },
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _jsonable(obj):
-    if isinstance(obj, tuple):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, list):
-        return [_jsonable(x) for x in obj]
-    return obj
 
 
 def _timed(report: PropertyReport, name: str, fn: Callable[[], tuple]) -> tuple:

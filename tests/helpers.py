@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import networkx as nx
 import numpy as np
 
 from ectf import Graph, random_matrix, random_tournament
@@ -97,6 +98,18 @@ def shattered_8x8_matrices():
     return [random_matrix(8, 8, s) for s in SHATTERED_8X8_SEEDS]
 
 
+def circulant(m: int, offsets) -> Graph:
+    """Cay(Z_m, S) for a symmetric set S of nonzero residues, edge by edge."""
+    return Graph.from_edges(m, {tuple(sorted((u, (u + d) % m))) for u in range(m) for d in offsets})
+
+
+def bipartite_circulant(n: int) -> Graph:
+    """The n-regular bipartite Cay(Z_(3n-1), {(3n-1)/2} and +-1, +-3, ...,
+    +-(n-2)), n odd: same order and degree as circular(n), but not circular."""
+    m = 3 * n - 1
+    return circulant(m, [m // 2] + [d for j in range(1, n - 1, 2) for d in (j, m - j)])
+
+
 # -- plain-set reference implementations ------------------------------------
 
 
@@ -145,6 +158,29 @@ def ref_satisfies_adj_k(g: Graph, k: int):
             ):
                 return False, s_set
     return True, None
+
+
+def ref_first_triangle(g: Graph):
+    """The first edge (u, v), u < v, in lexicographic order with a common
+    neighbour, sorted together with the smallest such neighbour w; None if
+    g is triangle-free."""
+    nb = [nbrs(g, v) for v in range(g.order)]
+    for u, v in combinations(range(g.order), 2):
+        if v in nb[u] and nb[u] & nb[v]:
+            return tuple(sorted((u, v, min(nb[u] & nb[v]))))
+    return None
+
+
+def ref_recognize_circular(g: Graph):
+    """n such that networkx finds g isomorphic to circular(n), the circulant
+    on Z_(3n-1) with offsets n..2n-1; None otherwise."""
+    m = g.order
+    if m < 2 or (m + 1) % 3:
+        return None
+    n = (m + 1) // 3
+    plain = nx.empty_graph(m)
+    plain.add_edges_from(g.edges())
+    return n if nx.is_isomorphic(plain, nx.circulant_graph(m, range(n, 2 * n))) else None
 
 
 def ref_first_independent_triple(g: Graph):

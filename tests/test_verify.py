@@ -3,7 +3,6 @@ construction: unit examples plus cross-checks against reference oracles."""
 
 from itertools import combinations
 
-import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,11 +45,15 @@ from ectf.verify import (
 
 from helpers import (
     MASTER_SEED,
+    bipartite_circulant,
     center_exists_bruteforce,
+    circulant,
     nbrs,
     random_graph,
     random_maximal_triangle_free,
     ref_first_independent_triple,
+    ref_first_triangle,
+    ref_recognize_circular,
     ref_multiplicity_witness,
     ref_satisfies_adj_k,
     ref_satisfies_e_k,
@@ -91,6 +94,16 @@ class TestTriangleFree:
         ok, (a, b, c) = is_triangle_free(g)
         assert not ok
         assert g.adjacent(a, b) and g.adjacent(b, c) and g.adjacent(a, c)
+
+    def test_matches_reference_on_random_graphs(self):
+        free = 0
+        for n in range(41):
+            for i, p in enumerate((0.05, 0.15, 0.4)):
+                g = random_graph(n, p, MASTER_SEED + 1300 + 10 * n + i)
+                triangle = ref_first_triangle(g)
+                assert is_triangle_free(g) == (triangle is None, triangle)
+                free += triangle is None
+        assert 20 <= free <= 100
 
 
 class TestTwinFree:
@@ -369,6 +382,34 @@ class TestRecognizeCircular:
     def test_single_edge(self):
         assert recognize_circular(Graph.from_edges(2, [(0, 1)])) == 1
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_every_circulant_of_that_degree_matches_networkx(self, n):
+        """Every symmetric n-subset S of Z_(3n-1) gives an n-regular
+        Cay(Z_(3n-1), S) of the order of circular(n); that graph and a
+        seeded relabelled copy get the networkx answer."""
+        m = 3 * n - 1
+        rng = np.random.Generator(np.random.PCG64(MASTER_SEED + m))
+        answers = []
+        for half in combinations(range(1, m // 2 + 1), (n + 1) // 2):
+            offsets = set(half) | {m - d for d in half}
+            if len(offsets) != n:
+                continue
+            g = circulant(m, offsets)
+            h = g.relabel([int(x) for x in rng.permutation(m)])
+            answers.append(ref_recognize_circular(g))
+            assert recognize_circular(g) == recognize_circular(h) == answers[-1], sorted(offsets)
+        assert len(answers) == {2: 2, 3: 3, 4: 10, 5: 15, 6: 56}[n]
+        assert n in answers and (n == 2 or None in answers)
+
+    def test_bipartite_circulant_602(self):
+        """Same order and degree as circular(201), not circular: the walk
+        stops early and is_3ectf fails on adj_3."""
+        g = bipartite_circulant(201)
+        assert recognize_circular(g) is None
+        reason = is_3ectf(g).witness("is_3ectf")
+        assert reason == ("uncovered", (0, 201))
+        _assert_witness_holds(g, "is_3ectf", reason)
+
 
 class TestIs3ECTF:
     def test_albert_six(self):
@@ -392,6 +433,17 @@ class TestIs3ECTF:
         assert not report.is_3ectf
         assert report.witness("is_3ectf") == ("triangle", (0, 1, 2))
         assert "adj_3" not in report
+
+    @pytest.mark.parametrize(
+        "g",
+        [albert_cycles(6), circular(13), erdos_hypercube(2), hypercube_layers(1, 6)],
+        ids=["albert_cycles(6)", "circular(13)", "erdos_hypercube(2)", "hypercube_layers(1,6)"],
+    )
+    def test_derives_no_int_rows(self, g):
+        """The fast path reads only the packed words of a packed-built graph."""
+        assert g._rows is None
+        is_3ectf(g)
+        assert g._rows is None
 
     def test_matches_definitional_oracle_on_small_corpus(self):
         for seed in range(30):
@@ -640,12 +692,7 @@ def _assert_witness_holds(g, name, witness):
         )
     elif name == "circular":
         # the verdict is the n of circular(n): 3n - 1 vertices, arcs of n
-        m = g.order
-        assert m == 3 * witness - 1
-        target = nx.circulant_graph(m, range(witness, 2 * witness))
-        plain = nx.empty_graph(m)
-        plain.add_edges_from(g.edges())
-        assert nx.is_isomorphic(plain, target)
+        assert ref_recognize_circular(g) == witness
     else:
         raise AssertionError(f"no witness expected from {name}")
 
